@@ -1,16 +1,18 @@
 // Detection-quality bake-off across change-point backends.
 //
 // FBDetect's CUSUM+EM detector (§5.2.1) is one of several credible designs;
-// the backend registry (src/tsa/changepoint_backend.h) makes E-divisive,
-// PELT, and an offline BOCPD adapter drop-in replacements. This bench puts
-// all four on IDENTICAL labelled fleets and scores each on the axes that
-// matter at hyperscale:
+// DetectionConfig::change_point_backend swaps in E-divisive, the method
+// Hunter ships. This bench puts both on IDENTICAL labelled fleets and scores
+// each on the axes that matter at hyperscale:
 //   - precision / recall against injected ground truth (group-based
 //     matching, same standard as bench_fpfn_accounting / bench_robustness)
 //   - time-to-detect: mean gap between an injected event's start and the
 //     detected_at of the first report that matches it
 //   - CPU cost: wall time of the detection phase (identical data, identical
-//     scan-thread count — only the backend varies)
+//     scan-thread count — only the backend varies), and the backend alone:
+//     mean change_point stage wall time per series it was run on
+//     (pipeline.stage.change_point.wall_ns sum / pipeline.stage.change_point.in),
+//     which the long-term path does not dilute
 // over a matrix of regression magnitudes {50%, 5%, 0.5%} x ingest fault
 // rates {0, 0.05, 0.10} (FaultInjectorConfig::AllKinds). Each matrix cell
 // generates its fleet ONCE and runs every backend over the same db, so
@@ -35,7 +37,12 @@
 namespace fbdetect {
 namespace {
 
-constexpr const char* kBackends[] = {"cusum_em", "e_divisive", "pelt", "bocpd"};
+struct NamedBackend {
+  ChangePointBackend backend;
+  const char* name;
+};
+constexpr NamedBackend kBackends[] = {{ChangePointBackend::kCusumEm, "cusum_em"},
+                                      {ChangePointBackend::kEDivisive, "e_divisive"}};
 
 double MillisSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -53,6 +60,7 @@ struct BackendScore {
   double recall = 0.0;
   double mean_ttd_hours = -1.0;  // -1 when nothing was caught.
   double detect_ms = 0.0;
+  double backend_us_per_series = 0.0;
 };
 
 struct Cell {
@@ -98,9 +106,9 @@ Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
   cell.fault_rate = fault_rate;
 
   CallGraphCodeInfo code_info(&scenario.service->graph());
-  for (const char* backend : kBackends) {
+  for (const NamedBackend& backend : kBackends) {
     PipelineOptions pipeline_options;
-    pipeline_options.detection.change_point_backend = backend;
+    pipeline_options.detection.change_point_backend = backend.backend;
     // A threshold below the smallest planted magnitude's gCPU footprint, so
     // the threshold filter never hides backend differences.
     pipeline_options.detection.threshold = 0.00005;
@@ -109,6 +117,7 @@ Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
     pipeline_options.detection.windows.extended = Hours(2);
     pipeline_options.detection.rerun_interval = Hours(4);
     pipeline_options.scan_threads = 4;
+    pipeline_options.telemetry.enabled = true;
     Pipeline pipeline(&fleet.db(), &fleet.change_log(), &code_info, pipeline_options);
 
     const auto detect_start = std::chrono::steady_clock::now();
@@ -157,9 +166,18 @@ Cell RunCell(double magnitude, double fault_rate, bool smoke, uint64_t seed) {
     };
 
     BackendScore score;
-    score.backend = backend;
+    score.backend = backend.name;
     score.reports = reports.size();
     score.detect_ms = detect_ms;
+    TelemetryRegistry& telemetry = pipeline.telemetry();
+    const uint64_t change_point_in =
+        telemetry.GetCounter("pipeline.stage.change_point.in")->value();
+    if (change_point_in > 0) {
+      score.backend_us_per_series =
+          static_cast<double>(
+              telemetry.GetHistogram("pipeline.stage.change_point.wall_ns")->sum()) /
+          1000.0 / static_cast<double>(change_point_in);
+    }
     for (const Regression& report : reports) {
       bool is_true = false;
       for (const InjectedEvent& event : fleet.ground_truth()) {
@@ -232,9 +250,9 @@ int Main(int argc, char** argv) {
   const std::vector<double> fault_rates = {0.0, 0.05, 0.10};
   const uint64_t kSeed = 99;
 
-  const std::vector<int> widths = {6, 7, 11, 8, 4, 4, 7, 7, 8, 10};
+  const std::vector<int> widths = {6, 7, 11, 8, 4, 4, 7, 7, 8, 10, 11};
   PrintRow({"mag", "faults", "backend", "reports", "TR", "FP", "recall", "prec",
-            "ttd_h", "detect_ms"},
+            "ttd_h", "detect_ms", "cp_us/ser"},
            widths);
   std::vector<Cell> cells;
   for (const double magnitude : magnitudes) {
@@ -246,7 +264,8 @@ int Main(int argc, char** argv) {
                   std::to_string(s.false_positives), FormatPercent(s.recall, 1),
                   FormatPercent(s.precision, 1),
                   s.mean_ttd_hours < 0.0 ? "-" : FormatDouble(s.mean_ttd_hours, "%.1f"),
-                  FormatDouble(s.detect_ms, "%.0f")},
+                  FormatDouble(s.detect_ms, "%.0f"),
+                  FormatDouble(s.backend_us_per_series, "%.1f")},
                  widths);
       }
       cells.push_back(std::move(cell));
@@ -255,20 +274,23 @@ int Main(int argc, char** argv) {
 
   // Per-backend rollup across the whole matrix.
   std::printf("\nper-backend rollup (unweighted means across %zu cells):\n", cells.size());
-  for (const char* backend : kBackends) {
-    double precision = 0.0, recall = 0.0, detect_ms = 0.0;
+  for (const NamedBackend& backend : kBackends) {
+    double precision = 0.0, recall = 0.0, detect_ms = 0.0, backend_us = 0.0;
     for (const Cell& cell : cells) {
       for (const BackendScore& s : cell.scores) {
-        if (s.backend == backend) {
+        if (s.backend == backend.name) {
           precision += s.precision;
           recall += s.recall;
           detect_ms += s.detect_ms;
+          backend_us += s.backend_us_per_series;
         }
       }
     }
     const double n = static_cast<double>(cells.size());
-    std::printf("  %-11s recall %5.1f%%  precision %5.1f%%  detect %6.0f ms/cell\n",
-                backend, 100.0 * recall / n, 100.0 * precision / n, detect_ms / n);
+    std::printf(
+        "  %-11s recall %5.1f%%  precision %5.1f%%  detect %6.0f ms/cell  "
+        "change_point %7.1f us/series\n",
+        backend.name, 100.0 * recall / n, 100.0 * precision / n, detect_ms / n, backend_us / n);
   }
 
   FILE* json = std::fopen("BENCH_detectors.json", "w");
@@ -289,10 +311,10 @@ int Main(int argc, char** argv) {
                    "\"true_regressions\": %zu, \"false_positives\": %zu, "
                    "\"injected\": %zu, \"caught\": %zu, \"precision\": %.4f, "
                    "\"recall\": %.4f, \"mean_ttd_hours\": %.2f, "
-                   "\"detect_ms\": %.1f}%s\n",
+                   "\"detect_ms\": %.1f, \"backend_us_per_series\": %.2f}%s\n",
                    s.backend.c_str(), s.reports, s.true_regressions, s.false_positives,
                    s.injected, s.caught, s.precision, s.recall, s.mean_ttd_hours,
-                   s.detect_ms, b + 1 < cell.scores.size() ? "," : "");
+                   s.detect_ms, s.backend_us_per_series, b + 1 < cell.scores.size() ? "," : "");
     }
     std::fprintf(json, "    ]}%s\n", c + 1 < cells.size() ? "," : "");
   }

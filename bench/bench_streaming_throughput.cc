@@ -1,7 +1,6 @@
-// Incremental streaming scan harness (DESIGN §14). Writes
-// BENCH_streaming.json.
+// Generation-gated scan harness (DESIGN §14). Writes BENCH_streaming.json.
 //
-// Four measurements:
+// Two measurements:
 //   1. Gated vs batch periodic rescan at a 1% dirty-series rate: one shared
 //      database, per round append one fresh point to 1% of the series and
 //      re-run detection at an advanced as_of on (a) a kBatch pipeline (the
@@ -10,14 +9,6 @@
 //      The acceptance bar (checked off-smoke) is >= 5x batch/gated.
 //   2. Whole-run short-circuit cost: a gated RunAt over an unchanged
 //      database, nanoseconds per call.
-//   3. Append-observer overhead: the same WriteBatch ingest with and without
-//      the streaming DetectorStateStore wired as the database's observer;
-//      the delta is the amortized per-point cost of the rolling moments +
-//      online CUSUM + BOCPD update.
-//   4. Ingest-to-candidate latency: step regressions injected mid-stream;
-//      the streaming alert's triggered_at minus the step time, in simulated
-//      seconds, against the rerun_interval/2 expected latency of the
-//      periodic scan.
 //
 // `--smoke` shrinks every dimension so CI can exercise the full harness in
 // seconds; the JSON notes which mode produced it.
@@ -31,7 +22,6 @@
 #include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/common/sim_time.h"
-#include "src/core/detector_state.h"
 #include "src/core/pipeline.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/metric_id.h"
@@ -97,7 +87,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  PrintHeader(std::string("Incremental streaming scan: gated re-runs and per-point state") +
+  PrintHeader(std::string("Generation-gated scan: gated re-runs and run short-circuits") +
               (smoke ? " [smoke]" : ""));
 
   // --- 1. Gated vs batch periodic rescan at 1% dirty ---------------------
@@ -171,79 +161,6 @@ int main(int argc, char** argv) {
   std::printf("\n[2] short-circuited re-run (unchanged generation): %.0f ns/run\n",
               short_circuit_ns);
 
-  // --- 3. Append-observer overhead ---------------------------------------
-  const size_t obs_series = smoke ? 100 : 500;
-  const size_t obs_points = smoke ? 100 : 400;
-  const size_t obs_total = obs_series * obs_points;
-  std::printf("\n[3] append-observer overhead: %zu series x %zu points\n", obs_series,
-              obs_points);
-
-  const auto timed_ingest = [&](TimeSeriesDatabase& target, DetectorStateStore* store) {
-    target.SetAppendObserver(store);
-    const std::vector<InternedMetricId> keys = MakeSeries(target, obs_series);
-    const auto start = std::chrono::steady_clock::now();
-    IngestHistory(target, keys, static_cast<TimePoint>(obs_points) * kTick, /*seed=*/11);
-    const double ms = MillisSince(start);
-    target.SetAppendObserver(nullptr);
-    FBD_CHECK(target.total_points() == obs_total);
-    return ms;
-  };
-
-  TimeSeriesDatabase plain_db;
-  const double plain_ms = timed_ingest(plain_db, nullptr);
-  TimeSeriesDatabase observed_db;
-  DetectorStateStore store(DetectorStateStore::Mode::kStreaming);
-  const double observed_ms = timed_ingest(observed_db, &store);
-  FBD_CHECK(store.series_count() == obs_series);
-  const double per_point_ns =
-      std::max(0.0, (observed_ms - plain_ms) * 1e6 / static_cast<double>(obs_total));
-  const double plain_mpps = static_cast<double>(obs_total) / (plain_ms * 1000.0);
-  const double observed_mpps = static_cast<double>(obs_total) / (observed_ms * 1000.0);
-  std::printf("    without observer: %8.1f ms  %6.2f Mpts/s\n", plain_ms, plain_mpps);
-  std::printf("    with streaming state: %4.1f ms  %6.2f Mpts/s\n", observed_ms,
-              observed_mpps);
-  std::printf("    per-point state update: %.0f ns\n", per_point_ns);
-
-  // --- 4. Ingest-to-candidate latency ------------------------------------
-  const size_t lat_series = smoke ? 50 : 200;
-  const size_t lat_baseline_points = 300;  // > CUSUM baseline of 64.
-  const size_t lat_post_points = 50;
-  const TimePoint step_at = static_cast<TimePoint>(lat_baseline_points + 1) * kTick;
-  std::printf("\n[4] ingest-to-candidate latency: %zu series, 20%% step at t=%lld\n",
-              lat_series, static_cast<long long>(step_at));
-
-  TimeSeriesDatabase lat_db;
-  DetectorStateStore lat_store(DetectorStateStore::Mode::kStreaming);
-  lat_db.SetAppendObserver(&lat_store);
-  const std::vector<InternedMetricId> lat_ids = MakeSeries(lat_db, lat_series);
-  Rng lat_rng(5);
-  {
-    WriteBatch lat_batch(&lat_db);
-    for (size_t p = 0; p < lat_baseline_points + lat_post_points; ++p) {
-      const TimePoint t = static_cast<TimePoint>(p + 1) * kTick;
-      for (size_t s = 0; s < lat_series; ++s) {
-        const double base = lat_rng.Normal(0.05, 0.002);
-        lat_batch.Add(lat_ids[s], t, t >= step_at ? base * 1.2 : base);
-      }
-      lat_batch.Commit();  // Per-tick commits: alerts carry the tick's timestamp.
-    }
-  }
-  lat_db.SetAppendObserver(nullptr);
-  const std::vector<StreamingAlert> alerts = lat_store.DrainAlerts();
-  double latency_sum_s = 0.0;
-  size_t alerted = 0;
-  for (const StreamingAlert& alert : alerts) {
-    if (alert.triggered_at >= step_at) {
-      latency_sum_s += static_cast<double>(alert.triggered_at - step_at);
-      ++alerted;
-    }
-  }
-  const double mean_latency_s = alerted > 0 ? latency_sum_s / static_cast<double>(alerted) : -1.0;
-  const double periodic_bound_s = static_cast<double>(Hours(3)) / 2.0;
-  std::printf("    alerted %zu/%zu series, mean latency %.0f s (periodic bound: %.0f s)\n",
-              alerted, lat_series, mean_latency_s, periodic_bound_s);
-  FBD_CHECK(alerted > 0);
-
   // --- JSON ---------------------------------------------------------------
   FILE* json = std::fopen("BENCH_streaming.json", "w");
   FBD_CHECK(json != nullptr);
@@ -258,19 +175,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "    \"gated_ms_per_run\": %.3f,\n", gated_per_run);
   std::fprintf(json, "    \"speedup\": %.2f\n", speedup);
   std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"short_circuit_ns_per_run\": %.0f,\n", short_circuit_ns);
-  std::fprintf(json, "  \"append_observer\": {\n");
-  std::fprintf(json, "    \"points\": %zu,\n", obs_total);
-  std::fprintf(json, "    \"plain_mpps\": %.3f, \"observed_mpps\": %.3f,\n", plain_mpps,
-               observed_mpps);
-  std::fprintf(json, "    \"per_point_overhead_ns\": %.0f\n", per_point_ns);
-  std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"ingest_to_candidate\": {\n");
-  std::fprintf(json, "    \"stepped_series\": %zu, \"alerted_series\": %zu,\n", lat_series,
-               alerted);
-  std::fprintf(json, "    \"mean_latency_s\": %.1f, \"periodic_bound_s\": %.1f\n",
-               mean_latency_s, periodic_bound_s);
-  std::fprintf(json, "  }\n");
+  std::fprintf(json, "  \"short_circuit_ns_per_run\": %.0f\n", short_circuit_ns);
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_streaming.json\n");

@@ -1,6 +1,11 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <system_error>
+#include <type_traits>
 
 namespace fbdetect {
 
@@ -88,5 +93,31 @@ std::vector<std::string> CharNgrams(std::string_view input, int n) {
   }
   return grams;
 }
+
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text, T min) {
+  // std::from_chars already refuses leading whitespace and a '+' sign, and a
+  // '-' sign for unsigned T; it reports overflow as result_out_of_range.
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
+    return std::nullopt;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return std::nullopt;
+    }
+  }
+  if (value < min) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+template std::optional<int> ParseNumber<int>(std::string_view, int);
+template std::optional<uint16_t> ParseNumber<uint16_t>(std::string_view, uint16_t);
+template std::optional<uint64_t> ParseNumber<uint64_t>(std::string_view, uint64_t);
+template std::optional<double> ParseNumber<double>(std::string_view, double);
 
 }  // namespace fbdetect

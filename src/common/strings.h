@@ -1,9 +1,12 @@
 // Small string utilities shared across modules: splitting, joining, case
-// folding, identifier tokenization (camelCase / snake_case aware), and
-// character n-grams for TF-IDF features.
+// folding, identifier tokenization (camelCase / snake_case aware), character
+// n-grams for TF-IDF features, and strict number parsing for command-line
+// flags.
 #ifndef FBDETECT_SRC_COMMON_STRINGS_H_
 #define FBDETECT_SRC_COMMON_STRINGS_H_
 
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,6 +34,14 @@ std::vector<std::string> TokenizeIdentifier(std::string_view text);
 // 2- and 3-gram lengths, per §5.5.1). Inputs shorter than `n` yield the whole
 // string as a single gram.
 std::vector<std::string> CharNgrams(std::string_view input, int n);
+
+// Parses the whole of `text` as a base-10 number of type T that is at least
+// `min`. Returns nullopt for empty input, leading or trailing characters
+// (whitespace included), a '+' sign, a '-' sign on an unsigned type, a value
+// outside T's range (overflow included) or below `min`, and, for double, a
+// non-finite value. Instantiated for int, uint16_t, uint64_t and double.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text, T min = std::numeric_limits<T>::lowest());
 
 }  // namespace fbdetect
 

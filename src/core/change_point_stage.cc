@@ -4,20 +4,40 @@
 #include <cmath>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/stats/descriptive.h"
+#include "src/tsa/e_divisive.h"
 
 namespace fbdetect {
 
-ChangePointStage::ChangePointStage(const DetectionConfig& config)
-    : config_(config), backend_(MakeChangePointBackend(config.change_point_backend)) {
-  // A misconfigured detector must fail loudly at construction, not silently
-  // skip every scan.
-  if (backend_ == nullptr) {
-    std::fprintf(stderr, "unknown change-point backend: %s\n",
-                 config.change_point_backend.c_str());
+ChangePoint DetectBackendChangePoint(std::span<const double> values,
+                                     const DetectionConfig& config) {
+  switch (config.change_point_backend) {
+    case ChangePointBackend::kCusumEm: {
+      ChangePointConfig cusum_em;
+      cusum_em.min_segment = config.min_segment;
+      cusum_em.max_iterations = config.max_em_iterations;
+      cusum_em.significance_level = config.significance_level;
+      return DetectChangePoint(values, cusum_em);
+    }
+    case ChangePointBackend::kEDivisive: {
+      EDivisiveConfig e_divisive;
+      e_divisive.min_segment = config.min_segment;
+      e_divisive.significance_level = config.significance_level;
+      const EDivisiveResult split = EDivisiveSingleSplit(values, e_divisive);
+      ChangePoint cp;
+      if (split.index == 0) {
+        return cp;
+      }
+      cp.index = split.index;
+      cp.mean_before = Mean(values.subspan(0, split.index));
+      cp.mean_after = Mean(values.subspan(split.index));
+      cp.delta = cp.mean_after - cp.mean_before;
+      cp.p_value = split.p_value;
+      cp.found = split.found;
+      return cp;
+    }
   }
-  FBD_CHECK(backend_ != nullptr);
+  return ChangePoint{};
 }
 
 std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& view) const {
@@ -40,11 +60,7 @@ std::optional<ScanCandidate> ChangePointStage::DetectCandidate(const ScanView& v
   const size_t context = std::min(view.historical_size, view.analysis_size);
   const std::span<const double> scan = view.full.subspan(view.historical_size - context);
 
-  ChangePointBackendOptions backend_options;
-  backend_options.min_segment = config_.min_segment;
-  backend_options.significance_level = config_.significance_level;
-  backend_options.max_em_iterations = config_.max_em_iterations;
-  const ChangePoint cp = backend_->Detect(scan, backend_options);
+  const ChangePoint cp = DetectBackendChangePoint(scan, config_);
   if (!cp.found) {
     return std::nullopt;
   }

@@ -1,113 +1,20 @@
 #include "src/core/detector_state.h"
 
-#include <utility>
+#include <mutex>
 
 namespace fbdetect {
 
-// --- StreamingDetectorState ---
-
-StreamingDetectorState::StreamingDetectorState(const StreamingConfig& config)
-    : config_(&config),
-      rolling_(config.rolling_window),
-      cusum_(config.cusum),
-      bocpd_(config.bocpd) {}
-
-bool StreamingDetectorState::OnAppend(TimePoint timestamp, double value) {
-  rolling_.Add(timestamp, value);
-  const bool cusum_fired = cusum_.Observe(value);
-  bocpd_.Observe(value);
-  const double change_probability =
-      bocpd_.change_probability(config_->change_within);
-  // BOCPD only counts once it has seen enough points to have a meaningful
-  // posterior — early on, all mass sits at short run lengths by construction.
-  const bool bocpd_fired =
-      bocpd_.observations() > static_cast<int64_t>(config_->change_within) * 2 &&
-      change_probability > config_->change_probability_threshold;
-  if (alert_active_ || (!cusum_fired && !bocpd_fired)) {
-    return false;
-  }
-  alert_active_ = true;
-  alert_at_ = timestamp;
-  alert_direction_ = cusum_.direction();
-  alert_change_probability_ = change_probability;
-  return true;
-}
-
-void StreamingDetectorState::DescribeAlert(StreamingAlert& alert) const {
-  alert.triggered_at = alert_at_;
-  alert.direction = alert_direction_;
-  alert.change_probability = alert_change_probability_;
-  alert.baseline_mean = cusum_.baseline_mean();
-  alert.rolling_mean = rolling_.mean();
-}
-
-// --- DetectorStateStore ---
-
-DetectorStateStore::DetectorStateStore(Mode mode, StreamingConfig config)
-    : mode_(mode), config_(std::move(config)) {}
-
-DetectorState& DetectorStateStore::StateFor(const InternedMetricId& id) {
-  Stripe& stripe = stripes_[StripeIndex(id)];
+SeriesVerdict& DetectorStateStore::VerdictFor(const InternedMetricId& id) {
+  Stripe& stripe = stripes_[InternedMetricIdHash{}(id) % kStripes];
   {
     std::shared_lock lock(stripe.mutex);
-    const auto it = stripe.states.find(id);
-    if (it != stripe.states.end()) {
-      return *it->second;
+    const auto it = stripe.verdicts.find(id);
+    if (it != stripe.verdicts.end()) {
+      return it->second;
     }
   }
   std::unique_lock lock(stripe.mutex);
-  auto& slot = stripe.states[id];
-  if (slot == nullptr) {
-    if (mode_ == Mode::kStreaming) {
-      slot = std::make_unique<StreamingDetectorState>(config_);
-    } else {
-      slot = std::make_unique<BatchDetectorState>();
-    }
-  }
-  return *slot;
-}
-
-DetectorState* DetectorStateStore::FindState(const InternedMetricId& id) {
-  Stripe& stripe = stripes_[StripeIndex(id)];
-  std::shared_lock lock(stripe.mutex);
-  const auto it = stripe.states.find(id);
-  return it != stripe.states.end() ? it->second.get() : nullptr;
-}
-
-void DetectorStateStore::OnAppend(const InternedMetricId& id,
-                                  std::span<const TimePoint> timestamps,
-                                  std::span<const double> values) {
-  DetectorState& state = StateFor(id);
-  for (size_t i = 0; i < timestamps.size(); ++i) {
-    if (!state.OnAppend(timestamps[i], values[i])) {
-      continue;
-    }
-    StreamingAlert alert;
-    alert.id = id;
-    state.DescribeAlert(alert);
-    std::lock_guard<std::mutex> lock(alerts_mutex_);
-    ++alerts_raised_;
-    alerts_.push_back(alert);
-  }
-}
-
-size_t DetectorStateStore::series_count() const {
-  size_t count = 0;
-  for (const Stripe& stripe : stripes_) {
-    std::shared_lock lock(stripe.mutex);
-    count += stripe.states.size();
-  }
-  return count;
-}
-
-uint64_t DetectorStateStore::alerts_raised() const {
-  std::lock_guard<std::mutex> lock(alerts_mutex_);
-  return alerts_raised_;
-}
-
-std::vector<StreamingAlert> DetectorStateStore::DrainAlerts() {
-  std::lock_guard<std::mutex> lock(alerts_mutex_);
-  return std::exchange(alerts_, {});
+  return stripe.verdicts[id];
 }
 
 }  // namespace fbdetect

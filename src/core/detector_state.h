@@ -1,37 +1,21 @@
-// Per-series detector state for the incremental streaming scan (DESIGN §14).
+// Per-series verdict cache for the generation-gated scan (DESIGN §14).
 //
-// The scan stage runs behind this seam in two implementations:
+// In ScanMode::kGated the pipeline re-runs the full ExtractWindowView →
+// OrientWindows → ChangePointStage/LongTerm flow for a series whenever its
+// TSDB version moved, and replays the cached SeriesVerdict when it did not.
+// Because the evaluation is exactly the batch flow, gated output is
+// byte-identical to the batch oracle whenever every series is dirty at a run
+// (live-ingest steady state).
 //
-//   BatchDetectorState — no incremental state. The pipeline re-runs the full
-//   ExtractWindowView → OrientWindows → ChangePointStage/LongTerm flow for a
-//   series whenever its TSDB version moved, and replays the cached
-//   SeriesVerdict when it did not. Because the evaluation is exactly the
-//   batch flow, gated output is byte-identical to the batch oracle whenever
-//   every series is dirty at a run (live-ingest steady state).
-//
-//   StreamingDetectorState — additionally holds incremental per-point state
-//   (rolling Welford window moments, an online two-sided CUSUM, and a BOCPD
-//   run-length posterior), updated in amortized O(1) per ingested point from
-//   the TSDB append observer (WriteBatch::Commit / Write / WriteSeries).
-//   These feed EARLY-WARNING alerts only — RunAt verdicts always come from
-//   the exact batch stages, which is what keeps streaming-vs-batch survivor
-//   sets byte-identical after warm-up.
-//
-// DetectorStateStore owns one state per scanned series, lock-striped by
-// InternedMetricIdHash, and implements AppendObserver so it can be wired
-// straight into the database: db.SetAppendObserver(&store). The observer
-// runs under the owning TSDB shard lock; the store only takes its own
-// stripe locks (no call back into the database), so the lock order is
-// acyclic. Verdict slots are accessed without the stripe lock under the
-// scan-phase discipline: the pipeline visits each series exactly once per
-// re-run and never scans concurrently with ingest.
+// DetectorStateStore owns one verdict per scanned series, lock-striped by
+// InternedMetricIdHash. Verdict slots are accessed without the stripe lock
+// under the scan-phase discipline: the pipeline visits each series exactly
+// once per re-run and never scans concurrently with ingest.
 #ifndef FBDETECT_SRC_CORE_DETECTOR_STATE_H_
 #define FBDETECT_SRC_CORE_DETECTOR_STATE_H_
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -40,10 +24,6 @@
 #include "src/core/funnel_stats.h"
 #include "src/core/regression.h"
 #include "src/core/sanitizer.h"
-#include "src/stats/accumulator.h"
-#include "src/tsa/bocpd.h"
-#include "src/tsa/cusum.h"
-#include "src/tsdb/database.h"
 #include "src/tsdb/metric_id.h"
 
 namespace fbdetect {
@@ -91,131 +71,22 @@ struct SeriesVerdict {
   SeriesScanEvents events;
 };
 
-// Tuning for the streaming per-point state.
-struct StreamingConfig {
-  // Sliding window for the rolling moments; defaults to one hour (the
-  // detection analysis+extended scale at fleet resolution).
-  Duration rolling_window = kHour;
-  OnlineCusum::Config cusum;
-  BocpdState::Config bocpd;
-  // Early-warning trigger: BOCPD posterior mass on a change within the last
-  // `change_within` points exceeding `change_probability_threshold`, or the
-  // CUSUM alarm. Either alone suffices.
-  double change_probability_threshold = 0.8;
-  int change_within = 8;
-};
-
-// An early-warning alert raised by the streaming state at ingest time —
-// typically several minutes before the next periodic re-run would have
-// looked at the series. Advisory only; never feeds RunAt verdicts.
-struct StreamingAlert {
-  InternedMetricId id;
-  TimePoint triggered_at = 0;  // Timestamp of the triggering point.
-  int direction = 0;           // +1 shift up, -1 shift down, 0 BOCPD-only.
-  double change_probability = 0.0;
-  double baseline_mean = 0.0;
-  double rolling_mean = 0.0;
-};
-
-class DetectorState {
+// One cached SeriesVerdict per scanned series, lock-striped by
+// InternedMetricIdHash. See the file comment for the locking contract.
+class DetectorStateStore {
  public:
-  virtual ~DetectorState() = default;
-
-  // Ingest hook, amortized O(1) per point. Returns true when this point
-  // newly raised an early-warning alert (the store then records it).
-  virtual bool OnAppend(TimePoint timestamp, double value) = 0;
-
-  // Filled by the caller after an alert-raising OnAppend.
-  virtual void DescribeAlert(StreamingAlert&) const {}
-
-  SeriesVerdict& verdict() { return verdict_; }
-  const SeriesVerdict& verdict() const { return verdict_; }
-
- protected:
-  SeriesVerdict verdict_;
-};
-
-// The batch oracle behind the seam: no per-point state, verdict cache only.
-class BatchDetectorState final : public DetectorState {
- public:
-  bool OnAppend(TimePoint, double) override { return false; }
-};
-
-// Incremental per-point state: rolling window moments + online CUSUM +
-// BOCPD run-length posterior. Alert-only (see file comment).
-class StreamingDetectorState final : public DetectorState {
- public:
-  explicit StreamingDetectorState(const StreamingConfig& config);
-
-  bool OnAppend(TimePoint timestamp, double value) override;
-  void DescribeAlert(StreamingAlert& alert) const override;
-
-  const RollingMoments& rolling() const { return rolling_; }
-  const OnlineCusum& cusum() const { return cusum_; }
-  const BocpdState& bocpd() const { return bocpd_; }
-  bool alert_active() const { return alert_active_; }
-
- private:
-  const StreamingConfig* config_;  // Owned by the store; outlives the state.
-  RollingMoments rolling_;
-  OnlineCusum cusum_;
-  BocpdState bocpd_;
-  bool alert_active_ = false;
-  TimePoint alert_at_ = 0;
-  int alert_direction_ = 0;
-  double alert_change_probability_ = 0.0;
-};
-
-// One DetectorState per scanned series, lock-striped; also the database's
-// AppendObserver. See the file comment for the locking contract.
-class DetectorStateStore final : public AppendObserver {
- public:
-  enum class Mode { kBatch, kStreaming };
-
-  explicit DetectorStateStore(Mode mode, StreamingConfig config = {});
-
-  // AppendObserver: feeds every accepted point of `id` to its state (created
-  // on first sight) and records any alert the point raised.
-  void OnAppend(const InternedMetricId& id, std::span<const TimePoint> timestamps,
-                std::span<const double> values) override;
-
-  // The state for `id`, created if absent. Thread-safe (stripe lock held
-  // only for the map operation); the returned reference is stable.
-  DetectorState& StateFor(const InternedMetricId& id);
-
-  // nullptr when the series has never been seen. Thread-safe.
-  DetectorState* FindState(const InternedMetricId& id);
-
-  Mode mode() const { return mode_; }
-  const StreamingConfig& config() const { return config_; }
-  size_t series_count() const;
-
-  // Total alerts raised since construction (monotonic), and the alerts not
-  // yet drained. Drained alerts are returned in the order they were raised;
-  // with multi-threaded ingest that order is a valid interleaving, not a
-  // deterministic one (the count is deterministic, the order is not).
-  uint64_t alerts_raised() const;
-  std::vector<StreamingAlert> DrainAlerts();
+  // The verdict slot for `id`, created if absent. Thread-safe (stripe lock
+  // held only for the map operation); the returned reference is stable.
+  SeriesVerdict& VerdictFor(const InternedMetricId& id);
 
  private:
   struct Stripe {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<InternedMetricId, std::unique_ptr<DetectorState>,
-                       InternedMetricIdHash> states;
+    std::shared_mutex mutex;
+    std::unordered_map<InternedMetricId, SeriesVerdict, InternedMetricIdHash> verdicts;
   };
   static constexpr size_t kStripes = 16;
 
-  size_t StripeIndex(const InternedMetricId& id) const {
-    return InternedMetricIdHash{}(id) % kStripes;
-  }
-
-  Mode mode_;
-  StreamingConfig config_;
   std::array<Stripe, kStripes> stripes_;
-
-  mutable std::mutex alerts_mutex_;
-  uint64_t alerts_raised_ = 0;
-  std::vector<StreamingAlert> alerts_;
 };
 
 }  // namespace fbdetect

@@ -96,11 +96,7 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       worker_series_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))) {
   FBD_CHECK(db_ != nullptr);
   if (options_.scan_mode != ScanMode::kBatch) {
-    detector_store_ = std::make_unique<DetectorStateStore>(
-        options_.scan_mode == ScanMode::kStreaming
-            ? DetectorStateStore::Mode::kStreaming
-            : DetectorStateStore::Mode::kBatch,
-        options_.streaming);
+    detector_store_ = std::make_unique<DetectorStateStore>();
   }
   cost_shift_.AddDefaultDetectors(code_info, change_log_);
   if (change_log_ != nullptr) {
@@ -185,7 +181,6 @@ void Pipeline::RegisterInstruments() {
   obs_.scan_clean = counter(kCounterScanClean);
   obs_.scan_cache_hit = counter(kCounterScanCacheHit);
   obs_.run_short_circuits = counter(kCounterRunShortCircuits);
-  obs_.streaming_alerts = counter(kCounterStreamingAlerts);
 
   // Durable-tier mirrors only exist when the scanned database has the tier
   // on, so pipelines over RAM-only databases keep an unchanged instrument
@@ -225,9 +220,6 @@ void Pipeline::SyncTelemetry() {
   obs_.tsdb_list_cache_hits->Set(scan.list_cache_hits);
   obs_.tsdb_list_cache_misses->Set(scan.list_cache_misses);
   obs_.tsdb_list_cache_shard_refreshes->Set(scan.list_cache_shard_refreshes);
-  if (detector_store_ != nullptr) {
-    obs_.streaming_alerts->Set(detector_store_->alerts_raised());
-  }
   const ThreadPool::Stats pool = pool_.stats();
   obs_.pool_batches->Set(pool.batches);
   obs_.pool_tasks->Set(pool.tasks);
@@ -341,7 +333,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
     ApplyScanEvents(events);
     return;
   }
-  // Gated/streaming mode: replay the cached verdict while the series' TSDB
+  // Gated mode: replay the cached verdict while the series' TSDB
   // version is unchanged; re-evaluate (and refill the cache) when it moved.
   // The scan visits each series exactly once per run, so the verdict slot is
   // accessed exclusively here even with scan_threads > 1.
@@ -356,7 +348,7 @@ void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
     return;
   }
   const uint64_t version = db_->SeriesVersion(*interned);
-  SeriesVerdict& verdict = detector_store_->StateFor(*interned).verdict();
+  SeriesVerdict& verdict = detector_store_->VerdictFor(*interned);
   if (verdict.valid && verdict.version == version) {
     if (obs_.enabled) {
       obs_.scan_clean->Increment();

@@ -69,19 +69,13 @@ namespace fbdetect {
 enum class ScanMode {
   // Re-evaluate every series at every run: the byte-identical oracle.
   kBatch,
-  // Per-series verdict cache behind the DetectorState seam: a series whose
-  // TSDB version is unchanged replays its cached verdict instead of being
-  // re-evaluated, and a run whose service saw no mutation at all is
-  // short-circuited. Dirty series run the exact batch stages, so output is
-  // byte-identical to kBatch whenever every series is dirty at a run
-  // (live-ingest steady state); a clean series' replay across a shifted
-  // as_of is the documented approximation.
+  // Per-series verdict cache: a series whose TSDB version is unchanged
+  // replays its cached verdict instead of being re-evaluated, and a run whose
+  // service saw no mutation at all is short-circuited. Dirty series run the
+  // exact batch stages, so output is byte-identical to kBatch whenever every
+  // series is dirty at a run (live-ingest steady state); a clean series'
+  // replay across a shifted as_of is the documented approximation.
   kGated,
-  // kGated plus incremental per-point state (rolling Welford moments,
-  // online CUSUM, BOCPD run-length posterior) fed by the TSDB append
-  // observer, raising early-warning alerts at ingest time. Alert-only:
-  // RunAt verdicts still come from the exact batch stages.
-  kStreaming,
 };
 
 // Self-observability over the pipeline itself (DESIGN.md §12). Off by
@@ -129,8 +123,6 @@ struct PipelineOptions {
   // Incremental scan mode (see ScanMode). kBatch is the default and the
   // oracle every other mode is tested against.
   ScanMode scan_mode = ScanMode::kBatch;
-  // Per-point state tuning, used only when scan_mode == kStreaming.
-  StreamingConfig streaming;
 };
 
 class Pipeline {
@@ -184,15 +176,6 @@ class Pipeline {
   const std::vector<RegressionGroup>& groups() const { return pairwise_.groups(); }
   const PipelineOptions& options() const { return options_; }
 
-  // The per-series detector state store; null when scan_mode == kBatch.
-  // To receive per-point streaming updates (kStreaming early warnings), the
-  // caller wires it into the database during a quiescent phase:
-  //   db.SetAppendObserver(pipeline.detector_store());
-  // Generation gating itself needs no wiring — it is driven by the TSDB's
-  // per-series version counters, not the observer.
-  DetectorStateStore* detector_store() { return detector_store_.get(); }
-  const DetectorStateStore* detector_store() const { return detector_store_.get(); }
-
  private:
   // Pre-resolved instrument handles. All null (and `enabled` false) when
   // telemetry is off, so the hot path pays one predictable branch per site
@@ -243,8 +226,6 @@ class Pipeline {
     Counter* scan_clean = nullptr;
     Counter* scan_cache_hit = nullptr;
     Counter* run_short_circuits = nullptr;
-    // Deterministic mirror of DetectorStateStore::alerts_raised().
-    Counter* streaming_alerts = nullptr;
     // Runtime mirrors of the durable tier (tsdb.durable.* / tsdb.memory.*).
     // Registered only when the scanned database has the tier enabled, so
     // non-durable pipelines see an unchanged instrument set. All kRuntime:
@@ -384,7 +365,7 @@ class Pipeline {
   uint64_t cached_generation_ = 0;
   bool cache_valid_ = false;
 
-  // Per-series detector states; null in kBatch mode.
+  // Per-series verdict cache; null in kBatch mode.
   std::unique_ptr<DetectorStateStore> detector_store_;
   // Run short-circuit state: the (service, db generation) of the last
   // completed RunAt. A gated re-run over the same service with an unchanged

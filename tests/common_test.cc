@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -175,6 +177,53 @@ TEST(StringsTest, CharNgrams) {
   EXPECT_EQ(CharNgrams("abcd", 2), (std::vector<std::string>{"ab", "bc", "cd"}));
   EXPECT_EQ(CharNgrams("ab", 3), (std::vector<std::string>{"ab"}));
   EXPECT_TRUE(CharNgrams("", 2).empty());
+}
+
+TEST(StringsTest, ParseNumberAcceptsWholeValuesInRange) {
+  EXPECT_EQ(ParseNumber<int>("7"), 7);
+  EXPECT_EQ(ParseNumber<int>("-3"), -3);
+  EXPECT_EQ(ParseNumber<uint16_t>("65535"), 65535);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(ParseNumber<int>("-2147483648"), INT32_MIN);
+  EXPECT_EQ(ParseNumber<double>("0.0003"), 0.0003);
+  EXPECT_EQ(ParseNumber<double>("-2.5e3"), -2500.0);
+  EXPECT_EQ(ParseNumber<int>("0", 0), 0);
+}
+
+TEST(StringsTest, ParseNumberRejectsTrailingAndSurroundingCharacters) {
+  EXPECT_EQ(ParseNumber<int>("7x"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("7 "), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>(" 7"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("7.5"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>(""), std::nullopt);
+  EXPECT_EQ(ParseNumber<uint64_t>("12abc"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("abc"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("0.5x"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>(""), std::nullopt);
+}
+
+TEST(StringsTest, ParseNumberRejectsSignWhereNoneIsAllowed) {
+  EXPECT_EQ(ParseNumber<uint64_t>("-1"), std::nullopt);
+  EXPECT_EQ(ParseNumber<uint16_t>("-0"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("+7"), std::nullopt);
+  EXPECT_EQ(ParseNumber<uint64_t>("+7"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("+0.5"), std::nullopt);
+}
+
+TEST(StringsTest, ParseNumberRejectsOverflow) {
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("-2147483649"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("1e999"), std::nullopt);
+}
+
+TEST(StringsTest, ParseNumberRejectsValuesOutsideTheTargetRange) {
+  EXPECT_EQ(ParseNumber<uint16_t>("70000"), std::nullopt);
+  EXPECT_EQ(ParseNumber<uint16_t>("65536"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("-1", 0), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("-0.5", 0.0), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("inf"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("nan"), std::nullopt);
 }
 
 TEST(SimTimeTest, DurationHelpers) {

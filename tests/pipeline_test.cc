@@ -249,8 +249,8 @@ TEST(PipelineIntegrationTest, ParallelScanMatchesSerial) {
 }
 
 TEST(PipelineIntegrationTest, DefaultBackendMatchesExplicitCusumEmAcrossThreadCounts) {
-  // The backend registry must not perturb the default path: a pipeline left
-  // on the default backend and one explicitly configured with "cusum_em"
+  // The backend switch must not perturb the default path: a pipeline left
+  // on the default backend and one explicitly configured with kCusumEm
   // produce byte-identical reports, at every scan-thread count.
   World world(7);
   CallGraphCodeInfo code_info(&world.service->graph());
@@ -266,7 +266,7 @@ TEST(PipelineIntegrationTest, DefaultBackendMatchesExplicitCusumEmAcrossThreadCo
   for (const int threads : {1, 2, 8}) {
     PipelineOptions options = world.Options();
     options.scan_threads = threads;
-    options.detection.change_point_backend = "cusum_em";
+    options.detection.change_point_backend = ChangePointBackend::kCusumEm;
     Pipeline pipeline(&world.fleet.db(), &world.fleet.change_log(), &code_info, options);
     const std::vector<Regression> reports =
         pipeline.RunPeriod("svc", Days(2), World::kDuration);

@@ -1,14 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/core/change_point_stage.h"
+#include "src/core/workload_config.h"
 #include "src/stats/descriptive.h"
-#include "src/tsa/changepoint_backend.h"
 #include "src/tsa/cusum.h"
 #include "src/tsa/dp_changepoint.h"
 #include "src/tsa/e_divisive.h"
@@ -416,67 +416,6 @@ TEST(DpChangePointTest, RespectsMinSegment) {
 }
 
 // ---------------------------------------------------------------------------
-// PELT.
-// ---------------------------------------------------------------------------
-
-TEST(PeltTest, FindsTwoCleanChanges) {
-  std::vector<double> values;
-  for (int i = 0; i < 30; ++i) values.push_back(0.0);
-  for (int i = 0; i < 30; ++i) values.push_back(5.0);
-  for (int i = 0; i < 30; ++i) values.push_back(-3.0);
-  const Segmentation seg = PeltSegment(values, 1.0);
-  ASSERT_TRUE(seg.valid);
-  ASSERT_EQ(seg.change_points.size(), 2u);
-  EXPECT_EQ(seg.change_points[0], 30u);
-  EXPECT_EQ(seg.change_points[1], 60u);
-  EXPECT_NEAR(seg.total_cost, 0.0, 1e-6);
-}
-
-TEST(PeltTest, ConstantSeriesHasNoChanges) {
-  const std::vector<double> values(50, 3.0);
-  const Segmentation seg = PeltSegment(values, 1.0);
-  ASSERT_TRUE(seg.valid);
-  EXPECT_TRUE(seg.change_points.empty());
-}
-
-TEST(PeltTest, LargePenaltySuppressesAllChanges) {
-  Rng rng(21);
-  std::vector<double> values;
-  for (int i = 0; i < 100; ++i) {
-    values.push_back(rng.Normal(i < 50 ? 0.0 : 0.3, 1.0));
-  }
-  const Segmentation seg = PeltSegment(values, 1e9);
-  ASSERT_TRUE(seg.valid);
-  EXPECT_TRUE(seg.change_points.empty());
-}
-
-TEST(PeltTest, PrunedSearchMatchesExhaustiveDp) {
-  // PELT is exact despite pruning: for whatever number of change points it
-  // settles on, its (penalty-free) cost must equal the exhaustive DP optimum
-  // for that same count. Run over several noisy multi-step series.
-  for (const uint64_t seed : {31u, 32u, 33u}) {
-    Rng rng(seed);
-    std::vector<double> values;
-    for (int i = 0; i < 120; ++i) {
-      const double level = (i < 40) ? 0.0 : (i < 80 ? 2.0 : -1.0);
-      values.push_back(rng.Normal(level, 0.5));
-    }
-    const double penalty = 2.0 * 0.25 * std::log(120.0);  // BIC-ish, sigma^2 = 0.25.
-    const Segmentation pelt = PeltSegment(values, penalty);
-    ASSERT_TRUE(pelt.valid) << "seed=" << seed;
-    ASSERT_FALSE(pelt.change_points.empty()) << "seed=" << seed;
-    const Segmentation dp = DpSegment(values, pelt.change_points.size());
-    ASSERT_TRUE(dp.valid) << "seed=" << seed;
-    EXPECT_NEAR(pelt.total_cost, dp.total_cost, 1e-6) << "seed=" << seed;
-    EXPECT_EQ(pelt.change_points, dp.change_points) << "seed=" << seed;
-  }
-}
-
-TEST(PeltTest, TooShortSeriesInvalid) {
-  EXPECT_FALSE(PeltSegment(std::vector<double>{1.0}, 1.0, 2).valid);
-}
-
-// ---------------------------------------------------------------------------
 // E-divisive.
 // ---------------------------------------------------------------------------
 
@@ -541,48 +480,26 @@ TEST(EDivisiveTest, DeterministicAcrossCalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Change-point backend registry.
+// Change-point backends behind DetectionConfig::change_point_backend.
 // ---------------------------------------------------------------------------
 
-constexpr const char* kBuiltinBackends[] = {"bocpd", "cusum_em", "e_divisive", "pelt"};
-
-TEST(ChangePointBackendTest, RegistryProvidesAllBuiltins) {
-  const std::vector<std::string> names = ChangePointBackendNames();
-  for (const char* builtin : kBuiltinBackends) {
-    EXPECT_NE(std::find(names.begin(), names.end(), builtin), names.end())
-        << "missing builtin: " << builtin;
-    const auto backend = MakeChangePointBackend(builtin);
-    ASSERT_NE(backend, nullptr) << builtin;
-    EXPECT_EQ(backend->name(), builtin);
-  }
-}
-
-TEST(ChangePointBackendTest, UnknownNameReturnsNull) {
-  EXPECT_EQ(MakeChangePointBackend("no_such_backend"), nullptr);
-  EXPECT_EQ(MakeChangePointBackend(""), nullptr);
-}
-
-TEST(ChangePointBackendTest, DuplicateRegistrationRejected) {
-  // Built-in names are taken; re-registering must fail and leave the
-  // original factory in place.
-  const auto factory = +[]() -> std::unique_ptr<ChangePointBackend> { return nullptr; };
-  EXPECT_FALSE(RegisterChangePointBackend("cusum_em", factory));
-  EXPECT_FALSE(RegisterChangePointBackend("", factory));
-  EXPECT_NE(MakeChangePointBackend("cusum_em"), nullptr);
+DetectionConfig BackendConfig(ChangePointBackend backend) {
+  DetectionConfig config;
+  config.change_point_backend = backend;
+  return config;
 }
 
 TEST(ChangePointBackendTest, CusumEmBackendMatchesDetectChangePoint) {
-  // The default backend must be a transparent wrapper: bit-identical output
-  // to calling the paper's detector directly (the byte-identical guarantee
-  // behind keeping "cusum_em" the default).
+  // The stage's kCusumEm path must be a transparent call: bit-identical
+  // output to calling the paper's detector directly (the byte-identical
+  // guarantee behind keeping kCusumEm the default).
   Rng rng(51);
   std::vector<double> values;
   for (size_t i = 0; i < 160; ++i) {
     values.push_back(rng.Normal(i < 90 ? 1.0 : 1.4, 0.2));
   }
-  const auto backend = MakeChangePointBackend("cusum_em");
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint via_backend = backend->Detect(values, ChangePointBackendOptions{});
+  const ChangePoint via_backend =
+      DetectBackendChangePoint(values, BackendConfig(ChangePointBackend::kCusumEm));
   const ChangePoint direct = DetectChangePoint(values, ChangePointConfig{});
   EXPECT_EQ(via_backend.found, direct.found);
   EXPECT_EQ(via_backend.index, direct.index);
@@ -593,7 +510,16 @@ TEST(ChangePointBackendTest, CusumEmBackendMatchesDetectChangePoint) {
   EXPECT_EQ(via_backend.iterations_used, direct.iterations_used);
 }
 
-class BackendOracleTest : public ::testing::TestWithParam<const char*> {};
+// Parameterized by the backend's name so test names stay readable.
+class BackendOracleTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  ChangePoint Detect(std::span<const double> values) const {
+    const ChangePointBackend backend = std::string_view(GetParam()) == "e_divisive"
+                                           ? ChangePointBackend::kEDivisive
+                                           : ChangePointBackend::kCusumEm;
+    return DetectBackendChangePoint(values, BackendConfig(backend));
+  }
+};
 
 TEST_P(BackendOracleTest, FindsPlantedStep) {
   Rng rng(52);
@@ -602,9 +528,7 @@ TEST_P(BackendOracleTest, FindsPlantedStep) {
   for (size_t i = 0; i < 200; ++i) {
     values.push_back(rng.Normal(i < planted ? 1.0 : 2.0, 0.1));
   }
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint result = backend->Detect(values, ChangePointBackendOptions{});
+  const ChangePoint result = Detect(values);
   ASSERT_TRUE(result.found) << GetParam();
   EXPECT_NEAR(static_cast<double>(result.index), static_cast<double>(planted), 8.0)
       << GetParam();
@@ -614,9 +538,7 @@ TEST_P(BackendOracleTest, FindsPlantedStep) {
 
 TEST_P(BackendOracleTest, ConstantSeriesNotFound) {
   const std::vector<double> values(64, 3.0);
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_FALSE(backend->Detect(values, ChangePointBackendOptions{}).found) << GetParam();
+  EXPECT_FALSE(Detect(values).found) << GetParam();
 }
 
 TEST_P(BackendOracleTest, DeterministicAcrossCalls) {
@@ -625,10 +547,8 @@ TEST_P(BackendOracleTest, DeterministicAcrossCalls) {
   for (size_t i = 0; i < 150; ++i) {
     values.push_back(rng.Normal(i < 80 ? 0.0 : 0.8, 0.25));
   }
-  const auto backend = MakeChangePointBackend(GetParam());
-  ASSERT_NE(backend, nullptr);
-  const ChangePoint first = backend->Detect(values, ChangePointBackendOptions{});
-  const ChangePoint second = backend->Detect(values, ChangePointBackendOptions{});
+  const ChangePoint first = Detect(values);
+  const ChangePoint second = Detect(values);
   EXPECT_EQ(first.found, second.found) << GetParam();
   EXPECT_EQ(first.index, second.index) << GetParam();
   EXPECT_EQ(first.mean_before, second.mean_before) << GetParam();
@@ -637,7 +557,8 @@ TEST_P(BackendOracleTest, DeterministicAcrossCalls) {
   EXPECT_EQ(first.p_value, second.p_value) << GetParam();
 }
 
-INSTANTIATE_TEST_SUITE_P(Builtins, BackendOracleTest, ::testing::ValuesIn(kBuiltinBackends));
+INSTANTIATE_TEST_SUITE_P(Builtins, BackendOracleTest,
+                         ::testing::Values("cusum_em", "e_divisive"));
 
 }  // namespace
 }  // namespace fbdetect

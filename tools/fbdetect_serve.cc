@@ -13,8 +13,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
+#include "src/common/strings.h"
 #include "src/core/pipeline.h"
 #include "src/service/server.h"
 #include "src/tsdb/database.h"
@@ -29,14 +32,17 @@ void HandleSignal(int) {
   }
 }
 
-uint64_t FlagU64(const char* value, const char* flag) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
+// Strictly parses a flag's value as a T of at least `min`; exits 1 naming
+// the flag on anything else (a sign, trailing characters, overflow, or a
+// value outside T's range, such as --port 70000).
+template <typename T>
+T Flag(const char* value, const char* flag, T min = std::numeric_limits<T>::lowest()) {
+  const std::optional<T> parsed = fbdetect::ParseNumber<T>(value, min);
+  if (!parsed) {
     std::fprintf(stderr, "bad value for %s: %s\n", flag, value);
     std::exit(1);
   }
-  return static_cast<uint64_t>(parsed);
+  return *parsed;
 }
 
 void Usage(const char* argv0) {
@@ -70,29 +76,29 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--host") == 0) {
       service.host = next();
     } else if (std::strcmp(arg, "--port") == 0) {
-      service.port = static_cast<uint16_t>(FlagU64(next(), "--port"));
+      service.port = Flag<uint16_t>(next(), "--port");
     } else if (std::strcmp(arg, "--data-dir") == 0) {
       data_dir = next();
     } else if (std::strcmp(arg, "--admit-pps") == 0) {
-      service.admit_points_per_sec = FlagU64(next(), "--admit-pps");
+      service.admit_points_per_sec = Flag<uint64_t>(next(), "--admit-pps");
     } else if (std::strcmp(arg, "--admit-burst") == 0) {
-      service.admit_burst_points = FlagU64(next(), "--admit-burst");
+      service.admit_burst_points = Flag<uint64_t>(next(), "--admit-burst");
     } else if (std::strcmp(arg, "--parse-threads") == 0) {
-      service.parse_threads = static_cast<int>(FlagU64(next(), "--parse-threads"));
+      service.parse_threads = Flag<int>(next(), "--parse-threads", 0);
     } else if (std::strcmp(arg, "--scan-threads") == 0) {
-      pipeline_options.scan_threads = static_cast<int>(FlagU64(next(), "--scan-threads"));
+      pipeline_options.scan_threads = Flag<int>(next(), "--scan-threads", 0);
     } else if (std::strcmp(arg, "--flush-points") == 0) {
-      service.flush_points = FlagU64(next(), "--flush-points");
+      service.flush_points = Flag<uint64_t>(next(), "--flush-points");
     } else if (std::strcmp(arg, "--seal-every") == 0) {
-      service.seal_every_points = FlagU64(next(), "--seal-every");
+      service.seal_every_points = Flag<uint64_t>(next(), "--seal-every");
     } else if (std::strcmp(arg, "--high-watermark") == 0) {
-      service.parse_high_watermark_points = FlagU64(next(), "--high-watermark");
+      service.parse_high_watermark_points = Flag<uint64_t>(next(), "--high-watermark");
     } else if (std::strcmp(arg, "--low-watermark") == 0) {
-      service.parse_low_watermark_points = FlagU64(next(), "--low-watermark");
+      service.parse_low_watermark_points = Flag<uint64_t>(next(), "--low-watermark");
     } else if (std::strcmp(arg, "--request-timeout-ms") == 0) {
-      service.request_timeout_ms = FlagU64(next(), "--request-timeout-ms");
+      service.request_timeout_ms = Flag<uint64_t>(next(), "--request-timeout-ms");
     } else if (std::strcmp(arg, "--drain-deadline-ms") == 0) {
-      service.drain_deadline_ms = FlagU64(next(), "--drain-deadline-ms");
+      service.drain_deadline_ms = Flag<uint64_t>(next(), "--drain-deadline-ms");
     } else {
       Usage(argv[0]);
       return std::strcmp(arg, "--help") == 0 ? 0 : 1;

@@ -13,8 +13,10 @@
 //                [--telemetry-out PATH]
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+
+#include "src/common/strings.h"
 
 #include "src/core/pipeline.h"
 #include "src/fleet/fleet.h"
@@ -61,16 +63,33 @@ void PrintUsage(const char* argv0) {
       argv0);
 }
 
+// Parses a flag's value into `out`, strictly: "--days 7x" or "--threshold abc"
+// is an error naming the flag, never a silent 7 or 0.
+template <typename T>
+bool ParseFlag(const std::string& flag, const char* value, T& out) {
+  if (value == nullptr) {
+    return false;  // Already reported as a missing value.
+  }
+  const std::optional<T> parsed = ParseNumber<T>(value);
+  if (!parsed) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value);
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_value = [&](const char* name) -> const char* {
+    auto value = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
         return nullptr;
       }
       return argv[++i];
     };
+    bool ok = true;
     if (arg == "--help" || arg == "-h") {
       PrintUsage(argv[0]);
       return false;
@@ -79,52 +98,37 @@ bool ParseArgs(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--quiet") {
       options.quiet = true;
     } else if (arg == "--days") {
-      const char* v = next_value("--days");
-      if (v == nullptr) return false;
-      options.days = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.days);
     } else if (arg == "--subroutines") {
-      const char* v = next_value("--subroutines");
-      if (v == nullptr) return false;
-      options.subroutines = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.subroutines);
     } else if (arg == "--servers") {
-      const char* v = next_value("--servers");
-      if (v == nullptr) return false;
-      options.servers = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.servers);
     } else if (arg == "--regressions") {
-      const char* v = next_value("--regressions");
-      if (v == nullptr) return false;
-      options.regressions = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.regressions);
     } else if (arg == "--cost-shifts") {
-      const char* v = next_value("--cost-shifts");
-      if (v == nullptr) return false;
-      options.cost_shifts = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.cost_shifts);
     } else if (arg == "--transients") {
-      const char* v = next_value("--transients");
-      if (v == nullptr) return false;
-      options.transients = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.transients);
     } else if (arg == "--threshold") {
-      const char* v = next_value("--threshold");
-      if (v == nullptr) return false;
-      options.threshold = std::atof(v);
+      ok = ParseFlag(arg, value(), options.threshold);
     } else if (arg == "--rerun-hours") {
-      const char* v = next_value("--rerun-hours");
-      if (v == nullptr) return false;
-      options.rerun_hours = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.rerun_hours);
     } else if (arg == "--seed") {
-      const char* v = next_value("--seed");
-      if (v == nullptr) return false;
-      options.seed = static_cast<uint64_t>(std::atoll(v));
+      ok = ParseFlag(arg, value(), options.seed);
     } else if (arg == "--threads") {
-      const char* v = next_value("--threads");
-      if (v == nullptr) return false;
-      options.threads = std::atoi(v);
+      ok = ParseFlag(arg, value(), options.threads);
     } else if (arg == "--telemetry-out") {
-      const char* v = next_value("--telemetry-out");
-      if (v == nullptr) return false;
-      options.telemetry_out = v;
+      const char* path = value();
+      ok = path != nullptr;
+      if (ok) {
+        options.telemetry_out = path;
+      }
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       PrintUsage(argv[0]);
+      return false;
+    }
+    if (!ok) {
       return false;
     }
   }
