@@ -4,6 +4,10 @@
 #ifndef FBDETECT_BENCH_BENCH_UTIL_H_
 #define FBDETECT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -18,20 +22,60 @@
 
 namespace fbdetect {
 
+// Fixed integer work, opaque to the optimizer.
+inline uint64_t SpinWork(uint64_t iterations) {
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (uint64_t i = 0; i < iterations; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+  }
+  return x;
+}
+
+// Parallelism the host actually delivers, measured once per process (the
+// same calibration as perfbench's): one thread spins fixed work alone, then
+// hardware_concurrency() threads each spin the same work. With N truly free
+// cores both take equally long and the ratio is N; a shared VM that lends
+// fewer cores than it reports reads lower, which is what a --threads-sweep
+// curve is bounded by.
+inline double EffectiveCores() {
+  static const double cores = [] {
+    using Clock = std::chrono::steady_clock;
+    const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+    constexpr uint64_t kWork = 20'000'000;
+    std::atomic<uint64_t> sink{0};
+    const Clock::time_point solo_start = Clock::now();
+    sink += SpinWork(kWork);
+    const double solo = std::chrono::duration<double>(Clock::now() - solo_start).count();
+    const Clock::time_point team_start = Clock::now();
+    std::vector<std::thread> team;
+    for (unsigned t = 0; t < nproc; ++t) {
+      team.emplace_back([&sink] { sink += SpinWork(kWork); });
+    }
+    for (std::thread& thread : team) {
+      thread.join();
+    }
+    const double together = std::chrono::duration<double>(Clock::now() - team_start).count();
+    return together > 0 ? static_cast<double>(nproc) * solo / together : 0.0;
+  }();
+  return cores;
+}
+
 // Hardware/build metadata as a single-line JSON object. Every recorded
-// number depends on the core count, the dispatched SIMD table, and the
-// compiler, so results from different machines are only comparable when
-// these fields match.
+// number depends on the core count (nominal and effective), the dispatched
+// SIMD table, and the compiler, so results from different machines are only
+// comparable when these fields match.
 inline std::string HardwareJsonValue() {
   const char* disable_env = std::getenv("FBD_DISABLE_SIMD");
   const bool simd_disabled =
       disable_env != nullptr && disable_env[0] != '\0' &&
       !(disable_env[0] == '0' && disable_env[1] == '\0');
-  char buffer[256];
+  char buffer[384];
   std::snprintf(buffer, sizeof(buffer),
-                "{\"cores\": %u, \"simd_active\": \"%s\", \"simd_best\": \"%s\", "
-                "\"simd_disabled_by_env\": %s, \"compiler\": \"%s\"}",
-                std::thread::hardware_concurrency(),
+                "{\"cores\": %u, \"effective_cores\": %.2f, \"simd_active\": \"%s\", "
+                "\"simd_best\": \"%s\", \"simd_disabled_by_env\": %s, \"compiler\": \"%s\"}",
+                std::thread::hardware_concurrency(), EffectiveCores(),
                 simd::IsaName(simd::ActiveIsa()),
                 simd::IsaName(simd::BestAvailableIsa()),
                 simd_disabled ? "true" : "false",

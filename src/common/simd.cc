@@ -1,5 +1,6 @@
 #include "src/common/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -117,10 +118,64 @@ void ScalarPrefixXorToDoubles(const uint64_t* in, size_t n, uint64_t seed,
   }
 }
 
+void ScalarLoessDot2(const double* x, size_t count, const double* a, const double* b,
+                     size_t taps, double* out_a, double* out_b) {
+  for (size_t o = 0; o < count; ++o) {
+    const double* window = x + o;
+    double sum_a = 0.0;
+    double sum_b = 0.0;
+    for (size_t k = 0; k < taps; ++k) {
+      sum_a += a[k] * window[k];
+      sum_b += b[k] * window[k];
+    }
+    out_a[o] = sum_a;
+    out_b[o] = sum_b;
+  }
+}
+
+double Tricube(double u) {
+  const double a = 1.0 - std::fabs(u) * std::fabs(u) * std::fabs(u);
+  return a <= 0.0 ? 0.0 : a * a * a;
+}
+
+void ScalarLoessEdgeSums(const double* y, size_t lo, size_t span, size_t center,
+                         size_t count, double* sums) {
+  const size_t hi = lo + span;
+  for (size_t o = 0; o < count; ++o) {
+    const size_t i = center + o;
+    const double max_dist =
+        std::max(static_cast<double>(i - lo), static_cast<double>(hi - 1 - i));
+    double sw = 0.0;
+    double swx = 0.0;
+    double swy = 0.0;
+    double swxx = 0.0;
+    double swxy = 0.0;
+    for (size_t j = lo; j < hi; ++j) {
+      const double dist = std::fabs(static_cast<double>(j) - static_cast<double>(i));
+      const double w = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
+      if (w <= 0.0) {
+        continue;
+      }
+      const double x = static_cast<double>(j);
+      sw += w;
+      swx += w * x;
+      swy += w * y[j - lo];
+      swxx += w * x * x;
+      swxy += w * x * y[j - lo];
+    }
+    double* out = sums + 5 * o;
+    out[0] = sw;
+    out[1] = swx;
+    out[2] = swy;
+    out[3] = swxx;
+    out[4] = swxy;
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     &ScalarSumPair,         &ScalarCenteredMoments,  &ScalarSquaredDistances,
     &ScalarClassifyValues,  &ScalarMinPositiveGap,   &ScalarPrefixSumI64,
-    &ScalarPrefixXorToDoubles,
+    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeSums,
 };
 
 // ---------------------------------------------------------------------------
@@ -200,7 +255,7 @@ void NeonCenteredMoments(const double* x, const double* y, size_t n, double mean
 constexpr Kernels kNeonKernels = {
     &NeonSumPair,           &NeonCenteredMoments,    &ScalarSquaredDistances,
     &ScalarClassifyValues,  &ScalarMinPositiveGap,   &ScalarPrefixSumI64,
-    &ScalarPrefixXorToDoubles,
+    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeSums,
 };
 
 #endif  // FBD_SIMD_HAS_NEON

@@ -2,8 +2,9 @@
 //
 // Four loops dominate the single-core scan cost (see DESIGN.md §13): Gorilla
 // chunk decode, Pearson sum/moment accumulation, SOM best-matching-unit
-// distance, and the sanitizer's value-classification/grid passes. Each gets
-// a kernel here with three implementations selected once at startup:
+// distance, and the sanitizer's value-classification/grid passes; loess
+// dominates the long-term path's STL. Each gets a kernel here with three
+// implementations selected once at startup:
 //
 //   * scalar  — the semantic oracle. Every other implementation must produce
 //               byte-identical output (tests/simd_kernels_test.cc enforces
@@ -31,6 +32,13 @@
 //   * squared_distances keeps each cell's accumulation in ascending
 //     dimension order — the historical serial order — and vectorizes ACROSS
 //     cells (lane = cell) instead of across dimensions.
+//   * The loess kernels (loess_dot2, loess_edge_sums) likewise keep each
+//     output's historical serial order over the window (k = 0..span-1) and
+//     vectorize ACROSS outputs (lane = output): neighbouring outputs read
+//     neighbouring windows, so lane o at step k is one unaligned load away
+//     from lane o + 1. Lanes an edge fit skips (w <= 0) are excluded by a
+//     select that keeps the old sums, never by adding a zero weight, because
+//     0 * Inf is NaN where the skipped term added nothing.
 //   * The integer kernels (prefix sums, gap scan, classification counts) are
 //     exact in any association and need no ordering contract.
 //
@@ -93,6 +101,25 @@ struct Kernels {
   // Gorilla value decode.
   void (*prefix_xor_to_doubles)(const uint64_t* in, size_t n, uint64_t seed,
                                 double* out);
+
+  // Loess's unweighted interior: two sliding dot products with a fixed
+  // kernel pair. For each output o in [0, count):
+  //   out_a[o] = sum_k a[k] * x[o + k],  out_b[o] = sum_k b[k] * x[o + k],
+  // over k = 0..taps-1 in ascending order, each sum starting from +0.0, one
+  // rounded multiply and one rounded add per term. x holds count + taps - 1
+  // values.
+  void (*loess_dot2)(const double* x, size_t count, const double* a, const double* b,
+                     size_t taps, double* out_a, double* out_b);
+
+  // Loess's clamped edge fits: `count` local linear fits that share the
+  // window y[0..span), whose points sit at positions lo..lo+span-1. Fit o is
+  // centered at c = center + o (lo <= c < lo + span) with half-width
+  // m = max(c - lo, lo + span - 1 - c); point j gets the tricube weight
+  // w = m > 0 ? tricube(|j - c| / (m + 1)) : 1 and is skipped when w <= 0.
+  // Writes sums[5 * o + {0..4}] = {sw, swx, swy, swxx, swxy} with x = j,
+  // accumulated in ascending j exactly as the historical per-point fit.
+  void (*loess_edge_sums)(const double* y, size_t lo, size_t span, size_t center,
+                          size_t count, double* sums);
 };
 
 // The scalar oracle table.

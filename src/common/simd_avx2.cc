@@ -15,6 +15,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -222,6 +223,112 @@ int64_t Avx2MinPositiveGap(const int64_t* timestamps, size_t n) {
   return best;
 }
 
+// Eight outputs per pass (two vectors per sum, four independent add chains),
+// then four, then the scalar oracle for the rest. Lane o at step k loads
+// x[o + k]: the windows of neighbouring outputs are one element apart.
+void Avx2LoessDot2(const double* x, size_t count, const double* a, const double* b,
+                   size_t taps, double* out_a, double* out_b) {
+  size_t o = 0;
+  for (; o + 8 <= count; o += 8) {
+    const double* window = x + o;
+    __m256d sum_a0 = _mm256_setzero_pd();
+    __m256d sum_a1 = _mm256_setzero_pd();
+    __m256d sum_b0 = _mm256_setzero_pd();
+    __m256d sum_b1 = _mm256_setzero_pd();
+    for (size_t k = 0; k < taps; ++k) {
+      const __m256d x0 = _mm256_loadu_pd(window + k);
+      const __m256d x1 = _mm256_loadu_pd(window + k + 4);
+      const __m256d ak = _mm256_set1_pd(a[k]);
+      const __m256d bk = _mm256_set1_pd(b[k]);
+      sum_a0 = _mm256_add_pd(sum_a0, _mm256_mul_pd(ak, x0));
+      sum_a1 = _mm256_add_pd(sum_a1, _mm256_mul_pd(ak, x1));
+      sum_b0 = _mm256_add_pd(sum_b0, _mm256_mul_pd(bk, x0));
+      sum_b1 = _mm256_add_pd(sum_b1, _mm256_mul_pd(bk, x1));
+    }
+    _mm256_storeu_pd(out_a + o, sum_a0);
+    _mm256_storeu_pd(out_a + o + 4, sum_a1);
+    _mm256_storeu_pd(out_b + o, sum_b0);
+    _mm256_storeu_pd(out_b + o + 4, sum_b1);
+  }
+  for (; o + 4 <= count; o += 4) {
+    const double* window = x + o;
+    __m256d sum_a = _mm256_setzero_pd();
+    __m256d sum_b = _mm256_setzero_pd();
+    for (size_t k = 0; k < taps; ++k) {
+      const __m256d xk = _mm256_loadu_pd(window + k);
+      sum_a = _mm256_add_pd(sum_a, _mm256_mul_pd(_mm256_set1_pd(a[k]), xk));
+      sum_b = _mm256_add_pd(sum_b, _mm256_mul_pd(_mm256_set1_pd(b[k]), xk));
+    }
+    _mm256_storeu_pd(out_a + o, sum_a);
+    _mm256_storeu_pd(out_b + o, sum_b);
+  }
+  if (o < count) {
+    Scalar().loess_dot2(x + o, count - o, a, b, taps, out_a + o, out_b + o);
+  }
+}
+
+// Four fits per pass, one per lane. Every lane sees the same point (x, y) at
+// step j; only the tricube weight differs. Blends reproduce the oracle's two
+// ternaries and its skip of w <= 0 terms.
+void Avx2LoessEdgeSums(const double* y, size_t lo, size_t span, size_t center,
+                       size_t count, double* sums) {
+  const size_t hi = lo + span;
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  size_t o = 0;
+  for (; o + 4 <= count; o += 4) {
+    alignas(32) double lane_center[4];
+    alignas(32) double lane_width[4];
+    for (size_t l = 0; l < 4; ++l) {
+      const size_t i = center + o + l;
+      lane_center[l] = static_cast<double>(i);
+      lane_width[l] = std::max(static_cast<double>(i - lo), static_cast<double>(hi - 1 - i));
+    }
+    const __m256d c = _mm256_load_pd(lane_center);
+    const __m256d m = _mm256_load_pd(lane_width);
+    const __m256d scale = _mm256_add_pd(m, one);
+    const __m256d has_width = _mm256_cmp_pd(m, zero, _CMP_GT_OQ);
+    __m256d sw = zero;
+    __m256d swx = zero;
+    __m256d swy = zero;
+    __m256d swxx = zero;
+    __m256d swxy = zero;
+    for (size_t j = lo; j < hi; ++j) {
+      const __m256d x = _mm256_set1_pd(static_cast<double>(j));
+      const __m256d yj = _mm256_set1_pd(y[j - lo]);
+      const __m256d dist = _mm256_and_pd(_mm256_sub_pd(x, c), abs_mask);
+      const __m256d u = _mm256_and_pd(_mm256_div_pd(dist, scale), abs_mask);
+      const __m256d a = _mm256_sub_pd(one, _mm256_mul_pd(_mm256_mul_pd(u, u), u));
+      __m256d w = _mm256_blendv_pd(_mm256_mul_pd(_mm256_mul_pd(a, a), a), zero,
+                                   _mm256_cmp_pd(a, zero, _CMP_LE_OQ));
+      w = _mm256_blendv_pd(one, w, has_width);
+      const __m256d skip = _mm256_cmp_pd(w, zero, _CMP_LE_OQ);
+      const __m256d wx = _mm256_mul_pd(w, x);
+      sw = _mm256_blendv_pd(_mm256_add_pd(sw, w), sw, skip);
+      swx = _mm256_blendv_pd(_mm256_add_pd(swx, wx), swx, skip);
+      swy = _mm256_blendv_pd(_mm256_add_pd(swy, _mm256_mul_pd(w, yj)), swy, skip);
+      swxx = _mm256_blendv_pd(_mm256_add_pd(swxx, _mm256_mul_pd(wx, x)), swxx, skip);
+      swxy = _mm256_blendv_pd(_mm256_add_pd(swxy, _mm256_mul_pd(wx, yj)), swxy, skip);
+    }
+    alignas(32) double lanes[5][4];
+    _mm256_store_pd(lanes[0], sw);
+    _mm256_store_pd(lanes[1], swx);
+    _mm256_store_pd(lanes[2], swy);
+    _mm256_store_pd(lanes[3], swxx);
+    _mm256_store_pd(lanes[4], swxy);
+    for (size_t l = 0; l < 4; ++l) {
+      for (size_t f = 0; f < 5; ++f) {
+        sums[5 * (o + l) + f] = lanes[f][l];
+      }
+    }
+  }
+  if (o < count) {
+    Scalar().loess_edge_sums(y, lo, span, center + o, count - o, sums + 5 * o);
+  }
+}
+
 // No AVX2 prefix_sum_i64 / prefix_xor_to_doubles: an in-register 4 x i64
 // scan (permute4x64 + blend to shift lanes, plus a broadcast carry between
 // blocks) was measured at 0.3-0.5x the scalar loop on this path. The scalar
@@ -243,6 +350,8 @@ const Kernels* Avx2Kernels() {
       &Avx2MinPositiveGap,
       Scalar().prefix_sum_i64,
       Scalar().prefix_xor_to_doubles,
+      &Avx2LoessDot2,
+      &Avx2LoessEdgeSums,
   };
   return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
 }

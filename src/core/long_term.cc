@@ -9,12 +9,19 @@
 #include "src/stats/descriptive.h"
 #include "src/stats/linreg.h"
 #include "src/tsa/dp_changepoint.h"
-#include "src/tsa/stl.h"
 
 namespace fbdetect {
 
 std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
                                                    const ScanView& view) const {
+  SeriesDecomposition shared(view.full);
+  return Detect(metric, view, shared);
+}
+
+std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
+                                                   const ScanView& view,
+                                                   SeriesDecomposition& shared,
+                                                   const LongTermTimers& timers) const {
   const size_t analysis_size = view.analysis_size;
   const size_t hist_size = view.historical_size;
   if (analysis_size < 16 || hist_size < 16) {
@@ -31,12 +38,13 @@ std::optional<Regression> LongTermDetector::Detect(const MetricId& metric,
   // Step 1: seasonality decomposition. When seasonality is present, work on
   // the trend alone; otherwise smooth with STL's trend extraction anyway
   // (period fallback) to suppress noise.
-  const SeasonalityEstimate season =
-      DetectSeasonality(full, 4, full.size() / 3, config_.seasonality_min_correlation);
+  const SeasonalityEstimate& season =
+      shared.Season(config_.seasonality_min_correlation, timers.acf);
   const size_t period = season.present ? season.period : std::max<size_t>(4, full.size() / 20);
-  const Decomposition stl = StlDecompose(full, period);
+  const Decomposition& stl = shared.Stl(period, timers.stl);
   const std::span<const double> trend_span =
       stl.valid ? std::span<const double>(stl.trend) : full;
+  StageTimer trend_timer(timers.trend);
 
   // Step 2: regression detection on the trend.
   const size_t edge = std::max<size_t>(4, analysis_size / 8);

@@ -20,11 +20,21 @@
 
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
+#include "src/core/series_decomposition.h"
 #include "src/core/workload_config.h"
 #include "src/tsdb/metric_id.h"
 #include "src/tsdb/window.h"
 
 namespace fbdetect {
+
+// Optional sub-step timers of LongTermDetector::Detect (runtime histograms;
+// null = untimed). The ACF and STL timers only record when that call
+// computes the shared result.
+struct LongTermTimers {
+  Histogram* acf = nullptr;
+  Histogram* stl = nullptr;
+  Histogram* trend = nullptr;  // Trend test and change-point location.
+};
 
 class LongTermDetector {
  public:
@@ -35,6 +45,12 @@ class LongTermDetector {
   // trend, as before). DetectSeasonality underneath runs the O(n log n) FFT
   // autocorrelation for the long windows this path sees.
   std::optional<Regression> Detect(const MetricId& metric, const ScanView& view) const;
+
+  // Same, taking the seasonality estimate and STL from `shared` (built over
+  // view.full), which computes each at most once per series.
+  std::optional<Regression> Detect(const MetricId& metric, const ScanView& view,
+                                   SeriesDecomposition& shared,
+                                   const LongTermTimers& timers = {}) const;
 
   // Convenience: orients `windows` by the metric's kind first.
   std::optional<Regression> Detect(const MetricId& metric, const WindowExtract& windows) const;

@@ -210,6 +210,10 @@ std::vector<int> PairwiseDedup::Ingest(std::vector<FunnelCandidate> candidates,
       }
     }
     if (best_group >= 0) {
+      // A merged member is only scored against later candidates (metric,
+      // analysis window) and never reported, so its historical window is
+      // released: a long-lived pipeline keeps every group it ever formed.
+      candidate.regression.historical = std::vector<double>();
       AppendMember(best_group, std::move(candidate));
       continue;
     }

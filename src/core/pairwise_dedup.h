@@ -78,7 +78,10 @@ struct PairwiseRule {
 
 struct RegressionGroup {
   int group_id = -1;
-  std::vector<Regression> members;  // members[0] is the representative.
+  // members[0] is the representative (the reported regression). Members that
+  // merged in later carry an empty `historical`: only their metric and
+  // analysis window are read.
+  std::vector<Regression> members;
 };
 
 // Pearson correlation over the timestamp-aligned overlap of two regressions'

@@ -161,6 +161,11 @@ void Pipeline::RegisterInstruments() {
   obs_.pairwise = stage("pairwise_dedup", true);
   obs_.root_cause = stage("root_cause", true);
 
+  // Long-term sub-steps. Not trace stages: they nest inside long_term.
+  obs_.long_term_acf_ns = telemetry_.GetHistogram("pipeline.stage.long_term.acf.wall_ns");
+  obs_.long_term_stl_ns = telemetry_.GetHistogram("pipeline.stage.long_term.stl.wall_ns");
+  obs_.long_term_trend_ns = telemetry_.GetHistogram("pipeline.stage.long_term.trend.wall_ns");
+
   obs_.scan_wall_ns = telemetry_.GetHistogram("pipeline.scan.wall_ns");
   obs_.run_wall_ns = telemetry_.GetHistogram("pipeline.run.wall_ns");
 
@@ -483,6 +488,10 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
   // quarantines this metric for this re-run instead of unwinding through the
   // worker (ThreadPool would rethrow at join and abort the whole scan).
   try {
+    // Seasonality estimate and STL, computed at most once and shared by the
+    // seasonality stage and the long-term detector; each is charged to
+    // whichever stage computes it first.
+    SeriesDecomposition decomposition(view.full);
     // ---- Short-term path ----
     ++events.change_point_in;
     std::optional<ScanCandidate> candidate;
@@ -507,7 +516,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
         SeasonalityVerdict seasonal;
         {
           StageTimer timer(Timed(obs_.seasonality.wall_ns));
-          seasonal = seasonality_.Evaluate(view, *candidate);
+          seasonal = seasonality_.Evaluate(view, *candidate, decomposition);
         }
         if (!seasonal.seasonal_filtered) {
           ++short_funnel.after_seasonality;
@@ -538,7 +547,10 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       std::optional<Regression> long_candidate;
       {
         StageTimer timer(Timed(obs_.long_term.wall_ns));
-        long_candidate = long_term_.Detect(id, view);
+        long_candidate = long_term_.Detect(
+            id, view, decomposition,
+            {Timed(obs_.long_term_acf_ns), Timed(obs_.long_term_stl_ns),
+             Timed(obs_.long_term_trend_ns)});
       }
       if (long_candidate) {
         ++long_funnel.change_points;

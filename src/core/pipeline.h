@@ -202,6 +202,11 @@ class Pipeline {
     Counter* reported = nullptr;
     StageInstruments change_point, went_away, seasonality, threshold, long_term,
         fingerprint, same_merger, som_dedup, cost_shift, pairwise, root_cause;
+    // long_term's ACF / STL / trend-test sub-steps, per series. The shared
+    // decomposition only lands in acf/stl when long_term computes it.
+    Histogram* long_term_acf_ns = nullptr;
+    Histogram* long_term_stl_ns = nullptr;
+    Histogram* long_term_trend_ns = nullptr;
     Histogram* scan_wall_ns = nullptr;  // Whole ScanAllMetrics, per run.
     Histogram* run_wall_ns = nullptr;   // Whole RunAt, per run.
     // Runtime mirrors, Set() from the pool/TSDB sources at SyncTelemetry.

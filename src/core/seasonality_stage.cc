@@ -5,14 +5,19 @@
 #include <span>
 #include <vector>
 
-#include "src/stats/correlation.h"
 #include "src/stats/descriptive.h"
-#include "src/tsa/stl.h"
 
 namespace fbdetect {
 
 SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
                                               const ScanCandidate& candidate) const {
+  SeriesDecomposition shared(view.full);
+  return Evaluate(view, candidate, shared);
+}
+
+SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
+                                              const ScanCandidate& candidate,
+                                              SeriesDecomposition& shared) const {
   SeasonalityVerdict verdict;
   const size_t analysis_total = view.analysis_size + view.extended_size;
   if (view.historical_size < 16 || analysis_total == 0) {
@@ -24,16 +29,14 @@ SeasonalityVerdict SeasonalityStage::Evaluate(const ScanView& view,
   // combined range — contiguous, already oriented, nothing materialized.
   const std::span<const double> combined = view.full;
 
-  const SeasonalityEstimate season = DetectSeasonality(
-      combined, /*min_period=*/4, /*max_period=*/combined.size() / 3,
-      config_.seasonality_min_correlation);
+  const SeasonalityEstimate& season = shared.Season(config_.seasonality_min_correlation);
   if (!season.present) {
     return verdict;  // No seasonality: the stage passes the regression on.
   }
   verdict.seasonality_present = true;
   verdict.period = season.period;
 
-  const Decomposition stl = StlDecompose(combined, season.period);
+  const Decomposition& stl = shared.Stl(season.period);
   if (!stl.valid) {
     return verdict;
   }

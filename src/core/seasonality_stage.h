@@ -8,12 +8,14 @@
 // the analysis window and the extended window.
 //
 // The ACF underneath DetectSeasonality runs in O(n log n) via the FFT path
-// in src/stats/correlation.h, so this stage is cheap even for long windows.
+// in src/stats/correlation.h, and the pipeline shares the estimate and the
+// STL with the long-term detector (SeriesDecomposition).
 #ifndef FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 #define FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 
 #include "src/core/regression.h"
 #include "src/core/scan_view.h"
+#include "src/core/series_decomposition.h"
 #include "src/core/workload_config.h"
 
 namespace fbdetect {
@@ -33,6 +35,11 @@ class SeasonalityStage {
   // Zero-copy core: seasonality is estimated over view.full (historical +
   // analysis + extended, contiguous and oriented) with no concatenation.
   SeasonalityVerdict Evaluate(const ScanView& view, const ScanCandidate& candidate) const;
+
+  // Same, taking the seasonality estimate and STL from `shared` (built over
+  // view.full), which computes each at most once per series.
+  SeasonalityVerdict Evaluate(const ScanView& view, const ScanCandidate& candidate,
+                              SeriesDecomposition& shared) const;
 
   // Convenience: re-evaluates a stored Regression.
   SeasonalityVerdict Evaluate(const Regression& regression) const;

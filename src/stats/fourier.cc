@@ -1,5 +1,6 @@
 #include "src/stats/fourier.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -21,6 +22,139 @@ double CoefficientMagnitude(std::span<const double> values, double mean, size_t 
     imag += centered * std::sin(angle);
   }
   return std::sqrt(real * real + imag * imag) / static_cast<double>(n);
+}
+
+// Transforms up to this size keep their twiddles and work arrays in a
+// per-thread cache: 2 directions x 2 x (size - 1) twiddle doubles plus 2 x
+// size work doubles, 192 KiB per thread at the cap. Larger transforms build
+// the same tables in call-local storage.
+constexpr size_t kMaxCachedFftSize = 4096;
+
+// Twiddles and split re/im work arrays. The twiddles of the stage with
+// half-length h sit at [h - 1, 2h - 1) of tw_re/tw_im, so one table filled
+// for size n serves every smaller power of two as well.
+struct FftScratch {
+  std::vector<double> re;
+  std::vector<double> im;
+  std::vector<double> tw_re[2];  // [inverse]
+  std::vector<double> tw_im[2];
+};
+
+FftScratch& ScratchFor(size_t n, FftScratch& oversized) {
+  thread_local FftScratch cached;
+  return n <= kMaxCachedFftSize ? cached : oversized;
+}
+
+// Calls f(i, rev(i)) for i in [0, n), rev = the bit reversal of log2(n) bits.
+template <typename F>
+void ForEachBitReversed(size_t n, F&& f) {
+  f(size_t{0}, size_t{0});
+  for (size_t i = 1, j = 0; i < n; ++i) {
+    size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) {
+      j ^= bit;
+    }
+    j ^= bit;
+    f(i, j);
+  }
+}
+
+// The reference transform: std::complex butterflies whose twiddle factor
+// starts at 1 in every block and advances by a running product (w *= wlen,
+// wlen from std::polar once per stage). It defines the bits every faster
+// path must reproduce, and is what runs when a value is not finite.
+void ComplexFft(std::vector<std::complex<double>>& data, bool inverse) {
+  const size_t n = data.size();
+  ForEachBitReversed(n, [&](size_t i, size_t j) {
+    if (i < j) {
+      std::swap(data[i], data[j]);
+    }
+  });
+  for (size_t len = 2; len <= n; len <<= 1) {
+    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const std::complex<double> wlen = std::polar(1.0, angle);
+    for (size_t i = 0; i < n; i += len) {
+      std::complex<double> w(1.0, 0.0);
+      for (size_t k = 0; k < len / 2; ++k) {
+        const std::complex<double> even = data[i + k];
+        const std::complex<double> odd = data[i + k + len / 2] * w;
+        data[i + k] = even + odd;
+        data[i + k + len / 2] = even - odd;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (std::complex<double>& value : data) {
+      value *= scale;
+    }
+  }
+}
+
+// Twiddles for every stage up to size n, from the same running product as
+// ComplexFft (same std::polar start, same std::complex multiply), so every
+// entry has the bits the reference uses at that stage and index.
+void EnsureTwiddles(FftScratch& scratch, size_t n, bool inverse) {
+  std::vector<double>& tw_re = scratch.tw_re[inverse ? 1 : 0];
+  std::vector<double>& tw_im = scratch.tw_im[inverse ? 1 : 0];
+  if (tw_re.size() >= n - 1) {
+    return;
+  }
+  tw_re.resize(n - 1);
+  tw_im.resize(n - 1);
+  for (size_t half = 1; half < n; half <<= 1) {
+    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(2 * half);
+    const std::complex<double> wlen = std::polar(1.0, angle);
+    std::complex<double> w(1.0, 0.0);
+    for (size_t k = 0; k < half; ++k) {
+      tw_re[half - 1 + k] = w.real();
+      tw_im[half - 1 + k] = w.imag();
+      w *= wlen;
+    }
+  }
+}
+
+// Radix-2 butterflies over scratch.re/im, already in bit-reversed order, with
+// the complex product written out as (a*c - b*d, a*d + b*c): the value
+// std::complex computes whenever it is finite, without its NaN-recovery
+// branch. Returns false when any output is not finite — a non-finite value
+// anywhere propagates to some output, so true means the std::complex path
+// never left its finite branch and the outputs are bit-identical to it.
+bool SplitButterflies(FftScratch& scratch, size_t n, bool inverse) {
+  EnsureTwiddles(scratch, n, inverse);
+  double* re = scratch.re.data();
+  double* im = scratch.im.data();
+  const double* tw_re = scratch.tw_re[inverse ? 1 : 0].data();
+  const double* tw_im = scratch.tw_im[inverse ? 1 : 0].data();
+  for (size_t half = 1; half < n; half <<= 1) {
+    const double* wr = tw_re + half - 1;
+    const double* wi = tw_im + half - 1;
+    for (size_t i = 0; i < n; i += 2 * half) {
+      double* even_re = re + i;
+      double* even_im = im + i;
+      double* odd_re = re + i + half;
+      double* odd_im = im + i + half;
+      for (size_t k = 0; k < half; ++k) {
+        const double a = odd_re[k];
+        const double b = odd_im[k];
+        const double t_re = a * wr[k] - b * wi[k];
+        const double t_im = a * wi[k] + b * wr[k];
+        const double e_re = even_re[k];
+        const double e_im = even_im[k];
+        even_re[k] = e_re + t_re;
+        even_im[k] = e_im + t_im;
+        odd_re[k] = e_re - t_re;
+        odd_im[k] = e_im - t_im;
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(re[i]) || !std::isfinite(im[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -70,38 +204,22 @@ void Fft(std::vector<std::complex<double>>& data, bool inverse) {
   if (n == 1) {
     return;
   }
-  // Bit-reversal permutation.
-  for (size_t i = 1, j = 0; i < n; ++i) {
-    size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) {
-      j ^= bit;
-    }
-    j ^= bit;
-    if (i < j) {
-      std::swap(data[i], data[j]);
-    }
+  FftScratch oversized;
+  FftScratch& scratch = ScratchFor(n, oversized);
+  scratch.re.resize(n);
+  scratch.im.resize(n);
+  ForEachBitReversed(n, [&](size_t i, size_t j) {
+    scratch.re[i] = data[j].real();
+    scratch.im[i] = data[j].imag();
+  });
+  if (!SplitButterflies(scratch, n, inverse)) {
+    ComplexFft(data, inverse);
+    return;
   }
-  // Butterflies. Twiddle factors come from std::polar per stage (not a
-  // running product) so round-off stays bounded and runs are deterministic.
-  for (size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
-    const std::complex<double> wlen = std::polar(1.0, angle);
-    for (size_t i = 0; i < n; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> even = data[i + k];
-        const std::complex<double> odd = data[i + k + len / 2] * w;
-        data[i + k] = even + odd;
-        data[i + k + len / 2] = even - odd;
-        w *= wlen;
-      }
-    }
-  }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (std::complex<double>& value : data) {
-      value *= scale;
-    }
+  const double scale = inverse ? 1.0 / static_cast<double>(n) : 1.0;
+  for (size_t i = 0; i < n; ++i) {
+    data[i] = inverse ? std::complex<double>(scratch.re[i] * scale, scratch.im[i] * scale)
+                      : std::complex<double>(scratch.re[i], scratch.im[i]);
   }
 }
 
@@ -115,18 +233,51 @@ std::vector<double> AutocovarianceSumsFft(std::span<const double> values, size_t
   // Pad to >= 2n so the circular autocorrelation of the padded signal equals
   // the linear autocorrelation of the original.
   const size_t padded = NextPowerOfTwo(2 * n);
-  std::vector<std::complex<double>> buffer(padded, std::complex<double>(0.0, 0.0));
-  for (size_t i = 0; i < n; ++i) {
-    buffer[i] = std::complex<double>(values[i] - mean, 0.0);
+  FftScratch oversized;
+  FftScratch& scratch = ScratchFor(padded, oversized);
+  std::vector<double>& re = scratch.re;
+  std::vector<double>& im = scratch.im;
+  re.resize(padded);
+  im.resize(padded);
+  ForEachBitReversed(padded, [&](size_t i, size_t j) {
+    re[i] = j < n ? values[j] - mean : 0.0;
+    im[i] = 0.0;
+  });
+  bool finite = SplitButterflies(scratch, padded, /*inverse=*/false);
+  if (finite) {
+    // Power spectrum (std::norm's x*x + y*y), then back into bit-reversed
+    // order for the inverse transform.
+    for (size_t i = 0; i < padded; ++i) {
+      re[i] = re[i] * re[i] + im[i] * im[i];
+      im[i] = 0.0;
+    }
+    ForEachBitReversed(padded, [&](size_t i, size_t j) {
+      if (i < j) {
+        std::swap(re[i], re[j]);
+      }
+    });
+    finite = SplitButterflies(scratch, padded, /*inverse=*/true);
   }
-  Fft(buffer, /*inverse=*/false);
-  for (std::complex<double>& value : buffer) {
-    value = std::complex<double>(std::norm(value), 0.0);
-  }
-  Fft(buffer, /*inverse=*/true);
   std::vector<double> sums(limit + 1, 0.0);
+  if (!finite) {
+    // Non-finite data: the std::complex transform defines the result.
+    std::vector<std::complex<double>> buffer(padded, std::complex<double>(0.0, 0.0));
+    for (size_t i = 0; i < n; ++i) {
+      buffer[i] = std::complex<double>(values[i] - mean, 0.0);
+    }
+    ComplexFft(buffer, /*inverse=*/false);
+    for (std::complex<double>& value : buffer) {
+      value = std::complex<double>(std::norm(value), 0.0);
+    }
+    ComplexFft(buffer, /*inverse=*/true);
+    for (size_t lag = 0; lag <= limit; ++lag) {
+      sums[lag] = buffer[lag].real();
+    }
+    return sums;
+  }
+  const double scale = 1.0 / static_cast<double>(padded);
   for (size_t lag = 0; lag <= limit; ++lag) {
-    sums[lag] = buffer[lag].real();
+    sums[lag] = re[lag] * scale;
   }
   return sums;
 }

@@ -31,6 +31,11 @@ size_t NextPowerOfTwo(size_t n);
 // In-place iterative radix-2 Cooley-Tukey FFT. data.size() must be a power
 // of two (FBD_CHECKed). `inverse` computes the inverse transform including
 // the 1/n scaling, so Fft(Fft(x), inverse=true) == x up to round-off.
+// Within each stage the twiddle factor is a running product (w *= wlen from
+// w = 1, wlen = std::polar per stage). A per-thread table holds exactly those
+// products, and the butterflies run on split re/im arrays; when any output is
+// not finite the std::complex butterflies rerun, so the result is
+// bit-identical to std::complex arithmetic on every input.
 void Fft(std::vector<std::complex<double>>& data, bool inverse);
 
 // Raw autocovariance sums of the mean-removed series via Wiener–Khinchin:

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/arena.h"
 #include "src/common/check.h"
+#include "src/common/simd.h"
 
 namespace fbdetect {
 namespace {
@@ -13,10 +15,29 @@ double Tricube(double u) {
   return a <= 0.0 ? 0.0 : a * a * a;
 }
 
-// Weighted local linear fit evaluated at point i (the generic path: handles
-// clamped edge windows and robustness weights).
-double LoessFitAt(std::span<const double> values, std::span<const double> robustness,
-                  size_t span, size_t i) {
+// The weighted least-squares line through the five window sums, evaluated at
+// x_i; `fallback` when no point carried weight.
+double FinishFit(const double* sums, double x_i, double fallback) {
+  const double sw = sums[0];
+  const double swx = sums[1];
+  const double swy = sums[2];
+  const double swxx = sums[3];
+  const double swxy = sums[4];
+  if (sw <= 0.0) {
+    return fallback;
+  }
+  const double denom = sw * swxx - swx * swx;
+  if (std::fabs(denom) < 1e-12 * sw * swxx + 1e-300) {
+    return swy / sw;  // Fall back to the weighted mean.
+  }
+  const double slope = (sw * swxy - swx * swy) / denom;
+  const double intercept = (swy - slope * swx) / sw;
+  return slope * x_i + intercept;
+}
+
+// Robustness-weighted local linear fit at point i (STL's outer loop).
+double RobustFitAt(std::span<const double> values, std::span<const double> robustness,
+                   size_t span, size_t i) {
   const size_t n = values.size();
   // Neighborhood of `span` points centered on i, shifted at the edges.
   size_t lo = i >= span / 2 ? i - span / 2 : 0;
@@ -26,117 +47,120 @@ double LoessFitAt(std::span<const double> values, std::span<const double> robust
   const size_t hi = lo + span;  // Exclusive.
   const double max_dist =
       std::max(static_cast<double>(i - lo), static_cast<double>(hi - 1 - i));
-  // Weighted linear fit over the neighborhood.
-  double sw = 0.0;
-  double swx = 0.0;
-  double swy = 0.0;
-  double swxx = 0.0;
-  double swxy = 0.0;
+  double sums[5] = {0.0, 0.0, 0.0, 0.0, 0.0};
   for (size_t j = lo; j < hi; ++j) {
     const double dist = std::fabs(static_cast<double>(j) - static_cast<double>(i));
     double w = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
-    if (!robustness.empty()) {
-      w *= robustness[j];
-    }
+    w *= robustness[j];
     if (w <= 0.0) {
       continue;
     }
     const double x = static_cast<double>(j);
-    sw += w;
-    swx += w * x;
-    swy += w * values[j];
-    swxx += w * x * x;
-    swxy += w * x * values[j];
+    sums[0] += w;
+    sums[1] += w * x;
+    sums[2] += w * values[j];
+    sums[3] += w * x * x;
+    sums[4] += w * x * values[j];
   }
-  if (sw <= 0.0) {
-    return values[i];
+  return FinishFit(sums, static_cast<double>(i), values[i]);
+}
+
+// Unweighted fits at points [center, center + count), which all use the
+// clamped window [lo, lo + span).
+void EdgeFits(std::span<const double> values, size_t lo, size_t span, size_t center,
+              size_t count, std::span<double> out) {
+  if (count == 0) {
+    return;
   }
-  const double denom = sw * swxx - swx * swx;
-  const double x_i = static_cast<double>(i);
-  if (std::fabs(denom) < 1e-12 * sw * swxx + 1e-300) {
-    return swy / sw;  // Fall back to the weighted mean.
+  ArenaScope scope(Arena::ThreadLocal());
+  const std::span<double> sums = scope.MakeUninitializedSpan<double>(5 * count);
+  simd::Active().loess_edge_sums(values.data() + lo, lo, span, center, count, sums.data());
+  for (size_t o = 0; o < count; ++o) {
+    const size_t i = center + o;
+    out[i] = FinishFit(sums.data() + 5 * o, static_cast<double>(i), values[i]);
   }
-  const double slope = (sw * swxy - swx * swy) / denom;
-  const double intercept = (swy - slope * swx) / sw;
-  return slope * x_i + intercept;
 }
 
 }  // namespace
 
-std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,
-                                        std::span<const double> robustness) {
+void LoessSmoothInto(std::span<const double> values, size_t span,
+                     std::span<const double> robustness, std::span<double> out) {
   const size_t n = values.size();
-  std::vector<double> smoothed(n, 0.0);
+  FBD_CHECK(out.size() == n);
   if (n == 0) {
-    return smoothed;
+    return;
   }
   FBD_CHECK(robustness.empty() || robustness.size() == n);
   if (n == 1) {
-    smoothed[0] = values[0];
-    return smoothed;
+    out[0] = values[0];
+    return;
   }
   span = std::clamp<size_t>(span, 2, n);
+  if (!robustness.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = RobustFitAt(values, robustness, span, i);
+    }
+    return;
+  }
+  if (n == span) {
+    EdgeFits(values, 0, span, 0, n, out);
+    return;
+  }
 
-  // Fast path for the unweighted case (STL's default: outer_iterations == 1
-  // keeps the robustness weights empty). Away from the edges every window is
-  // the same shape, so the tricube weights form one fixed kernel and the fit
-  // at i collapses to two kernel dot products:
+  // Unweighted (STL's default: outer_iterations == 1 keeps the robustness
+  // weights empty). Away from the edges every window is the same shape, so
+  // the tricube weights form one fixed kernel and the fit at i collapses to
+  // two kernel dot products:
   //   smoothed[i] = (swy - slope * swk) / sw,
   //   slope = (sw * swky - swk * swy) / (sw * swkk - swk^2),
   // where sw/swk/swkk are kernel constants and swy/swky are dot products of
   // the kernel (and the kernel times the centered offset) with the window.
   // This is the same least-squares fit with the arithmetic hoisted out of the
-  // per-point loop. Edge windows are clamped and keep the generic path.
+  // per-point loop. The clamped edge windows keep the per-point fit.
   const size_t half = span / 2;
-  if (robustness.empty() && n > span) {
-    const double center = static_cast<double>(half);
-    const double max_dist = std::max(center, static_cast<double>(span - 1 - half));
-    std::vector<double> kernel(span);
-    std::vector<double> kernel_k(span);  // kernel * centered offset.
-    double sw = 0.0;
-    double swk = 0.0;
-    double swkk = 0.0;
-    for (size_t k = 0; k < span; ++k) {
-      const double offset = static_cast<double>(k) - center;
-      const double w = max_dist > 0.0 ? Tricube(std::fabs(offset) / (max_dist + 1.0)) : 1.0;
-      kernel[k] = w;
-      kernel_k[k] = w * offset;
-      sw += w;
-      swk += w * offset;
-      swkk += w * offset * offset;
-    }
-    const double denom = sw * swkk - swk * swk;
-    const bool degenerate = sw <= 0.0 || std::fabs(denom) < 1e-12 * sw * swkk + 1e-300;
-    // Interior: lo = i - half >= 0 and lo + span <= n.
-    const size_t first = half;
-    const size_t last = n - span + half;  // Inclusive.
-    for (size_t i = first; i <= last; ++i) {
-      const double* window = values.data() + (i - half);
-      double swy = 0.0;
-      double swky = 0.0;
-      for (size_t k = 0; k < span; ++k) {
-        swy += kernel[k] * window[k];
-        swky += kernel_k[k] * window[k];
-      }
-      if (degenerate) {
-        smoothed[i] = sw > 0.0 ? swy / sw : values[i];
-      } else {
-        const double slope = (sw * swky - swk * swy) / denom;
-        smoothed[i] = (swy - slope * swk) / sw;
-      }
-    }
-    for (size_t i = 0; i < first; ++i) {
-      smoothed[i] = LoessFitAt(values, robustness, span, i);
-    }
-    for (size_t i = last + 1; i < n; ++i) {
-      smoothed[i] = LoessFitAt(values, robustness, span, i);
-    }
-    return smoothed;
+  const double center = static_cast<double>(half);
+  const double max_dist = std::max(center, static_cast<double>(span - 1 - half));
+  ArenaScope scope(Arena::ThreadLocal());
+  const std::span<double> kernel = scope.MakeUninitializedSpan<double>(span);
+  const std::span<double> kernel_k = scope.MakeUninitializedSpan<double>(span);
+  double sw = 0.0;
+  double swk = 0.0;
+  double swkk = 0.0;
+  for (size_t k = 0; k < span; ++k) {
+    const double offset = static_cast<double>(k) - center;
+    const double w = max_dist > 0.0 ? Tricube(std::fabs(offset) / (max_dist + 1.0)) : 1.0;
+    kernel[k] = w;
+    kernel_k[k] = w * offset;
+    sw += w;
+    swk += w * offset;
+    swkk += w * offset * offset;
   }
+  const double denom = sw * swkk - swk * swk;
+  const bool degenerate = sw <= 0.0 || std::fabs(denom) < 1e-12 * sw * swkk + 1e-300;
+  // Interior: lo = i - half >= 0 and lo + span <= n.
+  const size_t first = half;
+  const size_t last = n - span + half;  // Inclusive.
+  const size_t interior = last - first + 1;
+  const std::span<double> swy = out.subspan(first, interior);
+  const std::span<double> swky = scope.MakeUninitializedSpan<double>(interior);
+  simd::Active().loess_dot2(values.data(), interior, kernel.data(), kernel_k.data(), span,
+                            swy.data(), swky.data());
+  for (size_t o = 0; o < interior; ++o) {
+    if (degenerate) {
+      swy[o] = sw > 0.0 ? swy[o] / sw : values[first + o];
+    } else {
+      const double slope = (sw * swky[o] - swk * swy[o]) / denom;
+      swy[o] = (swy[o] - slope * swk) / sw;
+    }
+  }
+  EdgeFits(values, 0, span, 0, first, out);
+  EdgeFits(values, n - span, span, last + 1, n - last - 1, out);
+}
 
-  for (size_t i = 0; i < n; ++i) {
-    smoothed[i] = LoessFitAt(values, robustness, span, i);
-  }
+std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,
+                                        std::span<const double> robustness) {
+  std::vector<double> smoothed(values.size(), 0.0);
+  LoessSmoothInto(values, span, robustness, smoothed);
   return smoothed;
 }
 

@@ -19,6 +19,12 @@ std::vector<double> LoessSmooth(std::span<const double> values, size_t span);
 std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,
                                         std::span<const double> robustness);
 
+// LoessSmoothWeighted writing into `out` (out.size() == values.size(); must
+// not alias `values`). Unweighted fits run on the simd::Kernels loess
+// kernels; scratch comes from the calling thread's Arena.
+void LoessSmoothInto(std::span<const double> values, size_t span,
+                     std::span<const double> robustness, std::span<double> out);
+
 }  // namespace fbdetect
 
 #endif  // FBDETECT_SRC_TSA_LOESS_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/stats/descriptive.h"
 #include "src/tsa/loess.h"
@@ -14,15 +15,13 @@ namespace {
 size_t NextOdd(size_t x) { return x % 2 == 0 ? x + 1 : x; }
 
 // Centered moving average of width `width` (handles even widths with the
-// standard 2x(MA) trick by averaging two offset windows).
-std::vector<double> CenteredMovingAverage(std::span<const double> values, size_t width) {
+// standard 2x(MA) trick by averaging two offset windows) into `out`, using
+// `prefix` (n + 1 doubles) for window sums: O(n) total instead of
+// O(n * width).
+void CenteredMovingAverage(std::span<const double> values, size_t width,
+                           std::span<double> prefix, std::span<double> out) {
   const size_t n = values.size();
-  std::vector<double> out(n, 0.0);
-  if (width == 0 || n == 0) {
-    return out;
-  }
-  // Window sums via a prefix-sum table: O(n) total instead of O(n * width).
-  std::vector<double> prefix(n + 1, 0.0);
+  prefix[0] = 0.0;
   for (size_t i = 0; i < n; ++i) {
     prefix[i + 1] = prefix[i] + values[i];
   }
@@ -38,7 +37,6 @@ std::vector<double> CenteredMovingAverage(std::span<const double> values, size_t
     }
     out[i] = (prefix[hi] - prefix[lo]) / static_cast<double>(hi - lo);
   }
-  return out;
 }
 
 }  // namespace
@@ -66,60 +64,74 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
       config.trend_span != 0 ? config.trend_span : NextOdd(period + period / 2);
   const size_t lowpass_span = config.lowpass_span != 0 ? config.lowpass_span : NextOdd(period);
 
-  std::vector<double> seasonal(n, 0.0);
-  std::vector<double> trend(n, 0.0);
-  std::vector<double> robustness;  // Empty = unweighted.
+  // Every intermediate lives in the thread's arena for the whole call: one
+  // block serves all inner and outer iterations.
+  ArenaScope scope(Arena::ThreadLocal());
+  const std::span<double> seasonal = scope.MakeSpan<double>(n);
+  const std::span<double> trend = scope.MakeSpan<double>(n);
+  const std::span<double> detrended = scope.MakeUninitializedSpan<double>(n);
+  const std::span<double> cycle = scope.MakeUninitializedSpan<double>(n);
+  const std::span<double> moving_average = scope.MakeUninitializedSpan<double>(n);
+  const std::span<double> prefix = scope.MakeUninitializedSpan<double>(n + 1);
+  const std::span<double> lowpass = scope.MakeUninitializedSpan<double>(n);
+  const std::span<double> deseasonalized = scope.MakeUninitializedSpan<double>(n);
+  // Cycle-subseries buffers, sized for the longest phase.
+  const size_t max_cycles = (n + period - 1) / period;
+  const std::span<double> subseries = scope.MakeUninitializedSpan<double>(max_cycles);
+  const std::span<double> subweights = scope.MakeUninitializedSpan<double>(max_cycles);
+  const std::span<double> smoothed = scope.MakeUninitializedSpan<double>(max_cycles);
+  std::span<double> robustness;  // Empty = unweighted.
 
   for (int outer = 0; outer < std::max(1, config.outer_iterations); ++outer) {
     for (int inner = 0; inner < std::max(1, config.inner_iterations); ++inner) {
       // Step 1: detrend.
-      std::vector<double> detrended(n);
       for (size_t i = 0; i < n; ++i) {
         detrended[i] = values[i] - trend[i];
       }
       // Step 2: cycle-subseries smoothing. Each phase (i mod period) is
       // smoothed independently with loess, producing the raw seasonal.
-      std::vector<double> cycle(n, 0.0);
       for (size_t phase = 0; phase < period; ++phase) {
-        std::vector<double> subseries;
-        std::vector<double> subweights;
-        std::vector<size_t> indices;
-        for (size_t i = phase; i < n; i += period) {
-          subseries.push_back(detrended[i]);
-          indices.push_back(i);
+        const size_t cycles = (n - phase + period - 1) / period;
+        for (size_t k = 0; k < cycles; ++k) {
+          subseries[k] = detrended[phase + k * period];
           if (!robustness.empty()) {
-            subweights.push_back(robustness[i]);
+            subweights[k] = robustness[phase + k * period];
           }
         }
-        const std::vector<double> smoothed =
-            LoessSmoothWeighted(subseries, config.seasonal_span, subweights);
-        for (size_t k = 0; k < indices.size(); ++k) {
-          cycle[indices[k]] = smoothed[k];
+        LoessSmoothInto(subseries.first(cycles), config.seasonal_span,
+                        robustness.empty() ? std::span<const double>()
+                                           : std::span<const double>(subweights.first(cycles)),
+                        smoothed.first(cycles));
+        for (size_t k = 0; k < cycles; ++k) {
+          cycle[phase + k * period] = smoothed[k];
         }
       }
       // Step 3: low-pass filter of the cycle-subseries (moving average of
       // width `period`, then loess) to extract leftover trend in it.
-      std::vector<double> lowpass = CenteredMovingAverage(cycle, period);
-      lowpass = LoessSmooth(lowpass, lowpass_span);
+      CenteredMovingAverage(cycle, period, prefix, moving_average);
+      LoessSmoothInto(moving_average, lowpass_span, {}, lowpass);
       // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
       for (size_t i = 0; i < n; ++i) {
         seasonal[i] = cycle[i] - lowpass[i];
       }
       // Step 5: deseasonalize and smooth for the new trend.
-      std::vector<double> deseasonalized(n);
       for (size_t i = 0; i < n; ++i) {
         deseasonalized[i] = values[i] - seasonal[i];
       }
-      trend = LoessSmoothWeighted(deseasonalized, trend_span, robustness);
+      LoessSmoothInto(deseasonalized, trend_span, robustness, trend);
     }
     if (outer + 1 < config.outer_iterations) {
       // Outer loop: recompute robustness weights from residuals (bisquare).
-      std::vector<double> abs_residuals(n);
+      // `detrended` is free until the next inner pass and holds them.
+      const std::span<double> abs_residuals = detrended;
       for (size_t i = 0; i < n; ++i) {
         abs_residuals[i] = std::fabs(values[i] - seasonal[i] - trend[i]);
       }
       const double h = 6.0 * Median(abs_residuals);
-      robustness.assign(n, 1.0);
+      if (robustness.empty()) {
+        robustness = scope.MakeUninitializedSpan<double>(n);
+      }
+      std::fill(robustness.begin(), robustness.end(), 1.0);
       if (h > 0.0) {
         for (size_t i = 0; i < n; ++i) {
           const double u = abs_residuals[i] / h;
@@ -130,8 +142,8 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
     }
   }
 
-  result.seasonal = std::move(seasonal);
-  result.trend = std::move(trend);
+  result.seasonal.assign(seasonal.begin(), seasonal.end());
+  result.trend.assign(trend.begin(), trend.end());
   for (size_t i = 0; i < n; ++i) {
     result.residual[i] = values[i] - result.seasonal[i] - result.trend[i];
   }
@@ -148,7 +160,8 @@ Decomposition MovingAverageDecompose(std::span<const double> values, size_t peri
   if (period < 2 || n < 2 * period) {
     return result;
   }
-  result.trend = CenteredMovingAverage(values, period);
+  std::vector<double> prefix(n + 1);
+  CenteredMovingAverage(values, period, prefix, result.trend);
   // Per-phase means of the detrended series.
   std::vector<double> phase_sum(period, 0.0);
   std::vector<size_t> phase_count(period, 0);

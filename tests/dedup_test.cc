@@ -191,7 +191,12 @@ TEST(PairwiseDedupTest, MergesCorrelatedSimilarlyNamedRegressions) {
   const std::vector<int> second_new = dedup.Ingest({second});
   EXPECT_TRUE(second_new.empty());  // Merged into the existing group.
   EXPECT_EQ(dedup.groups().size(), 1u);
-  EXPECT_EQ(dedup.groups()[0].members.size(), 2u);
+  ASSERT_EQ(dedup.groups()[0].members.size(), 2u);
+  // The representative keeps its windows; the merged member keeps only what
+  // later scoring reads.
+  EXPECT_EQ(dedup.groups()[0].members[0].historical, first.historical);
+  EXPECT_TRUE(dedup.groups()[0].members[1].historical.empty());
+  EXPECT_EQ(dedup.groups()[0].members[1].analysis, second.analysis);
 }
 
 TEST(PairwiseDedupTest, KeepsUncorrelatedApart) {

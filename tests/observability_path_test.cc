@@ -361,6 +361,40 @@ TEST(ObservabilityPathTest, TracesCoverEveryFunnelStage) {
   EXPECT_LE(traces.size(), run.pipeline->options().telemetry.max_traces);
 }
 
+TEST(ObservabilityPathTest, LongTermSubTimersNestInsideTheStageAndStayRuntimeOnly) {
+  const ObservedRun run = RunObserved(2, /*with_faults=*/false);
+  const TelemetryRegistry& registry = run.pipeline->telemetry();
+  std::map<std::string, HistogramSnapshot> histograms;
+  for (const HistogramSnapshot& histogram : registry.SnapshotHistograms()) {
+    histograms[histogram.name] = histogram;
+  }
+  const char* kSubSteps[] = {"pipeline.stage.long_term.acf.wall_ns",
+                             "pipeline.stage.long_term.stl.wall_ns",
+                             "pipeline.stage.long_term.trend.wall_ns"};
+  const HistogramSnapshot& stage = histograms.at("pipeline.stage.long_term.wall_ns");
+  uint64_t sub_sum = 0;
+  for (const char* name : kSubSteps) {
+    ASSERT_TRUE(histograms.contains(name)) << name;
+    const HistogramSnapshot& sub = histograms.at(name);
+    // At most one sample per long-term call: the ACF and STL only when the
+    // seasonality stage has not already computed them for that series.
+    EXPECT_GT(sub.count, 0u) << name;
+    EXPECT_LE(sub.count, stage.count) << name;
+    sub_sum += sub.sum;
+  }
+  EXPECT_LE(sub_sum, stage.sum);
+
+  // Runtime histograms: absent from the deterministic export and from the
+  // per-run traces, whose stage spans must not overlap.
+  const std::string deterministic = RenderTelemetryJson(registry, /*include_runtime=*/false);
+  EXPECT_EQ(deterministic.find("long_term.acf"), std::string::npos) << deterministic;
+  for (const Trace& trace : run.pipeline->run_traces()) {
+    for (const Span& span : trace.spans) {
+      EXPECT_EQ(span.subroutine.find("long_term."), std::string::npos) << span.subroutine;
+    }
+  }
+}
+
 TEST(ObservabilityPathTest, TelemetryIsOffByDefaultAndCostsNothing) {
   FaultInjector injector(FaultInjectorConfig::AllKinds(0.02, /*seed=*/11));
   const auto fleet = BuildObservedFleet(nullptr);

@@ -314,6 +314,69 @@ TEST(SimdKernelsTest, PrefixXorToDoublesMatchesScalar) {
   }
 }
 
+TEST(SimdKernelsTest, LoessDot2MatchesScalarAcrossShapes) {
+  Rng rng(110);
+  const simd::Kernels& best = simd::BestAvailable();
+  const simd::Kernels& scalar = simd::Scalar();
+  // Output counts around the 4- and 8-lane blocks; tap counts from the
+  // shortest loess span to STL trend spans.
+  const size_t kCounts[] = {0, 1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 100, 396};
+  const size_t kTaps[] = {1, 2, 3, 7, 8, 31, 145, 217};
+  for (size_t count : kCounts) {
+    for (size_t taps : kTaps) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const size_t n = count + taps - 1;
+        const std::vector<double> x =
+            trial == 0 ? FiniteDoubles(n, rng) : AdversarialDoubles(n, rng);
+        const std::vector<double> a =
+            trial == 0 ? FiniteDoubles(taps, rng) : AdversarialDoubles(taps, rng);
+        const std::vector<double> b = FiniteDoubles(taps, rng);
+        std::vector<double> a_best(count, -1.0), b_best(count, -1.0);
+        std::vector<double> a_scalar(count, -2.0), b_scalar(count, -2.0);
+        best.loess_dot2(x.data(), count, a.data(), b.data(), taps, a_best.data(),
+                        b_best.data());
+        scalar.loess_dot2(x.data(), count, a.data(), b.data(), taps, a_scalar.data(),
+                          b_scalar.data());
+        for (size_t o = 0; o < count; ++o) {
+          EXPECT_TRUE(ContractEqual(a_best[o], a_scalar[o]))
+              << "loess_dot2 a diverges at o=" << o << " count=" << count << " taps=" << taps;
+          EXPECT_TRUE(ContractEqual(b_best[o], b_scalar[o]))
+              << "loess_dot2 b diverges at o=" << o << " count=" << count << " taps=" << taps;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, LoessEdgeSumsMatchScalarAcrossShapes) {
+  Rng rng(111);
+  const simd::Kernels& best = simd::BestAvailable();
+  const simd::Kernels& scalar = simd::Scalar();
+  // Spans from 1 (zero half-width: every weight is 1) to STL trend spans,
+  // with the fits at the left edge, the right edge, and every center.
+  const size_t kSpans[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 145, 217};
+  for (size_t span : kSpans) {
+    for (int trial = 0; trial < 2; ++trial) {
+      const std::vector<double> y =
+          trial == 0 ? FiniteDoubles(span, rng) : AdversarialDoubles(span, rng);
+      const size_t lo = rng.NextUint64(1000);
+      for (const auto& [center, count] :
+           {std::pair<size_t, size_t>{lo, span / 2}, {lo + span - span / 2, span / 2},
+            {lo, span}}) {
+        std::vector<double> sums_best(5 * count, -1.0);
+        std::vector<double> sums_scalar(5 * count, -2.0);
+        best.loess_edge_sums(y.data(), lo, span, center, count, sums_best.data());
+        scalar.loess_edge_sums(y.data(), lo, span, center, count, sums_scalar.data());
+        for (size_t i = 0; i < sums_best.size(); ++i) {
+          EXPECT_TRUE(ContractEqual(sums_best[i], sums_scalar[i]))
+              << "loess_edge_sums diverges at fit " << i / 5 << " sum " << i % 5
+              << " span=" << span << " center=" << center - lo;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, ScalarTableIsUsedWhenEnvDisablesSimd) {
   // Active() is resolved once per process, so this test only checks
   // consistency: if the env var is set the active table must be scalar.
