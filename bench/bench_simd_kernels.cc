@@ -11,6 +11,13 @@
 //               (in-register i64 scans measured slower than the 1-add/cycle
 //               scalar chain), so the family's speedup lives in the decode
 //               restructuring and is measured there.
+//   loess     — the LoessPlan kernels at STL's period-144 trend span (217
+//               points, 612-point window): plan build (loess_edge_weights plus
+//               the four constant-sum loess_edge_dot calls, per weight) and
+//               plan apply (loess_dot2 plus the two edge loess_edge_dot
+//               calls, per output)
+//   fft       — every fft_butterflies stage of a 2048-point transform (the
+//               padded ACF size of a 612-point window), per element-stage
 //
 // Every kernel is first checked bit-identical against the scalar oracle on
 // the bench inputs, then timed (min of repetitions, fixed element count).
@@ -120,6 +127,60 @@ struct Entry {
 
 // Keep optimizers from deleting the timed loops.
 volatile double g_sink = 0.0;
+
+// The kernel calls of one LoessPlan, run on a given table. Build fills the
+// edge weights and the constant sums as the plan does (y = 1 and y = x);
+// apply computes the interior dot products and both edges' y sums.
+struct LoessPlanKernels {
+  static constexpr size_t kN = 612;
+  static constexpr size_t kSpan = 217;
+  static constexpr size_t kHalf = kSpan / 2;
+  static constexpr size_t kInterior = kN - kSpan + 1;
+  static constexpr size_t kRight = kSpan - kHalf - 1;
+
+  std::vector<double> values = std::vector<double>(kN);
+  std::vector<double> kernel = std::vector<double>(kSpan);
+  std::vector<double> kernel_k = std::vector<double>(kSpan);
+  std::vector<double> ones = std::vector<double>(kSpan, 1.0);
+  std::vector<double> xs = std::vector<double>(kSpan);
+  std::vector<double> weights = std::vector<double>(4 * kSpan * ((kHalf + 3) / 4));
+  std::vector<double> sums = std::vector<double>(8 * kHalf);  // Build outputs.
+  std::vector<double> out = std::vector<double>(kInterior * 2 + kHalf * 4);  // Apply outputs.
+
+  void Build(const simd::Kernels& k) {
+    k.loess_edge_weights(kSpan, 0, kHalf, weights.data());
+    double* s = sums.data();
+    k.loess_edge_dot(weights.data(), kSpan, kHalf, false, ones.data(), 0, s, s + kHalf);
+    k.loess_edge_dot(weights.data(), kSpan, kHalf, false, xs.data(), 0, s + 2 * kHalf,
+                     s + 3 * kHalf);
+    k.loess_edge_dot(weights.data(), kSpan, kRight, true, ones.data(), kN - kSpan,
+                     s + 4 * kHalf, s + 5 * kHalf);
+    k.loess_edge_dot(weights.data(), kSpan, kRight, true, xs.data(), kN - kSpan,
+                     s + 6 * kHalf, s + 7 * kHalf);
+  }
+
+  void Apply(const simd::Kernels& k) {
+    double* o = out.data();
+    k.loess_dot2(values.data(), kInterior, kernel.data(), kernel_k.data(), kSpan, o,
+                 o + kInterior);
+    o += 2 * kInterior;
+    k.loess_edge_dot(weights.data(), kSpan, kHalf, false, values.data(), 0, o, o + kHalf);
+    k.loess_edge_dot(weights.data(), kSpan, kRight, true, values.data() + kN - kSpan,
+                     kN - kSpan, o + 2 * kHalf, o + 3 * kHalf);
+  }
+};
+
+bool AllContractEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (!ContractEqual(a[i], b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 }  // namespace fbdetect
@@ -327,6 +388,90 @@ int main(int argc, char** argv) {
       g_sink = out.values().back();
     });
     entries.push_back({"gorilla_decode", legacy_ns, new_ns});
+  }
+
+  // --- loess: LoessPlan build and apply ---------------------------------
+  {
+    LoessPlanKernels plan_a;
+    for (size_t i = 0; i < LoessPlanKernels::kN; ++i) {
+      plan_a.values[i] = x[i];
+    }
+    for (size_t k = 0; k < LoessPlanKernels::kSpan; ++k) {
+      plan_a.kernel[k] = rng.Uniform(0.0, 1.0);
+      plan_a.kernel_k[k] = rng.Uniform(-1.0, 1.0);
+      plan_a.xs[k] = static_cast<double>(k);
+    }
+    LoessPlanKernels plan_b = plan_a;
+    plan_a.Build(active);
+    plan_b.Build(scalar);
+    FBD_CHECK(AllContractEqual(plan_a.weights, plan_b.weights));
+    FBD_CHECK(AllContractEqual(plan_a.sums, plan_b.sums));
+    plan_a.Apply(active);
+    plan_b.Apply(scalar);
+    FBD_CHECK(AllContractEqual(plan_a.out, plan_b.out));
+    const int plan_iters = smoke ? 5 : 50;
+    const size_t weight_count = LoessPlanKernels::kHalf * LoessPlanKernels::kSpan;
+    const double build_simd_ns = BestNsPerElement(weight_count, kReps, plan_iters, [&] {
+      plan_a.Build(active);
+      g_sink = plan_a.sums[0];
+    });
+    const double build_scalar_ns = BestNsPerElement(weight_count, kReps, plan_iters, [&] {
+      plan_b.Build(scalar);
+      g_sink = plan_b.sums[0];
+    });
+    entries.push_back({"loess_plan_build", build_scalar_ns, build_simd_ns});
+    const double apply_simd_ns = BestNsPerElement(LoessPlanKernels::kN, kReps, plan_iters, [&] {
+      plan_a.Apply(active);
+      g_sink = plan_a.out[0];
+    });
+    const double apply_scalar_ns =
+        BestNsPerElement(LoessPlanKernels::kN, kReps, plan_iters, [&] {
+          plan_b.Apply(scalar);
+          g_sink = plan_b.out[0];
+        });
+    entries.push_back({"loess_plan_apply", apply_scalar_ns, apply_simd_ns});
+  }
+
+  // --- fft: every butterfly stage of a 2048-point transform --------------
+  {
+    const size_t kFft = 2048;
+    std::vector<double> tw_re(kFft - 1);
+    std::vector<double> tw_im(kFft - 1);
+    for (size_t i = 0; i + 1 < kFft; ++i) {
+      tw_re[i] = rng.Uniform(-1.0, 1.0);
+      tw_im[i] = rng.Uniform(-1.0, 1.0);
+    }
+    const auto transform = [&](const simd::Kernels& k, std::vector<double>& re,
+                               std::vector<double>& im) {
+      for (size_t half = 1; half < kFft; half <<= 1) {
+        k.fft_butterflies(re.data(), im.data(), kFft, half, tw_re.data() + half - 1,
+                          tw_im.data() + half - 1);
+      }
+    };
+    std::vector<double> re_a(x.begin(), x.begin() + kFft);
+    std::vector<double> im_a(y.begin(), y.begin() + kFft);
+    std::vector<double> re_b = re_a;
+    std::vector<double> im_b = im_a;
+    transform(active, re_a, im_a);
+    transform(scalar, re_b, im_b);
+    FBD_CHECK(AllContractEqual(re_a, re_b) && AllContractEqual(im_a, im_b));
+    // Each timed call restarts from the input; the copy is in both columns.
+    const std::vector<double> re0(x.begin(), x.begin() + kFft);
+    const std::vector<double> im0(y.begin(), y.begin() + kFft);
+    const size_t element_stages = kFft * 11;
+    const double simd_ns = BestNsPerElement(element_stages, kReps, kIters / 10, [&] {
+      re_a = re0;
+      im_a = im0;
+      transform(active, re_a, im_a);
+      g_sink = re_a[1];
+    });
+    const double scalar_ns = BestNsPerElement(element_stages, kReps, kIters / 10, [&] {
+      re_b = re0;
+      im_b = im0;
+      transform(scalar, re_b, im_b);
+      g_sink = re_b[1];
+    });
+    entries.push_back({"fft_butterflies", scalar_ns, simd_ns});
   }
 
   // --- Report ------------------------------------------------------------

@@ -16,6 +16,12 @@
 // * Spans returned by MakeSpan are invalidated by the scope's destruction.
 //   Never store them beyond the scope, never hand them to another thread.
 // * The arena never runs destructors; element types must be trivial.
+// * Rewinding to an empty position (the outermost scope ending) keeps the
+//   last, largest block and frees the rest, so a thread that runs the same
+//   work again reuses warm, already-faulted memory instead of paying malloc
+//   and first-touch page faults on every top-level call. Each thread keeps
+//   at most one block between scopes.
+// * Blocks are not zero-filled; MakeSpan zeroes what it hands out.
 #ifndef FBDETECT_SRC_COMMON_ARENA_H_
 #define FBDETECT_SRC_COMMON_ARENA_H_
 
@@ -104,6 +110,18 @@ class Arena {
 
   void Rewind(Mark mark) {
     FBD_DCHECK(mark.block_count <= blocks_.size());
+    if (mark.used == 0 && mark.block_count <= 1 && !blocks_.empty()) {
+      // Nothing outlives this rewind: keep only the last block, the largest
+      // one the geometric schedule has grown to.
+      if (blocks_.size() > 1) {
+        Block kept = std::move(blocks_.back());
+        blocks_.clear();
+        blocks_.push_back(std::move(kept));
+        reserved_ = blocks_.back().size;
+      }
+      used_ = 0;
+      return;
+    }
     // Blocks grown since the mark are dropped; the geometric growth schedule
     // means the next scope that needs that much lands in one fresh block.
     while (blocks_.size() > mark.block_count) {
@@ -119,7 +137,7 @@ class Arena {
       bytes = min_bytes;
     }
     Block block;
-    block.storage = std::make_unique<uint8_t[]>(bytes + kAlignment);
+    block.storage = std::make_unique_for_overwrite<uint8_t[]>(bytes + kAlignment);
     const uintptr_t aligned =
         (reinterpret_cast<uintptr_t>(block.storage.get()) + kAlignment - 1) &
         ~(uintptr_t{kAlignment} - 1);

@@ -138,44 +138,72 @@ double Tricube(double u) {
   return a <= 0.0 ? 0.0 : a * a * a;
 }
 
-void ScalarLoessEdgeSums(const double* y, size_t lo, size_t span, size_t center,
-                         size_t count, double* sums) {
-  const size_t hi = lo + span;
-  for (size_t o = 0; o < count; ++o) {
-    const size_t i = center + o;
+void ScalarLoessEdgeWeights(size_t span, size_t first, size_t count, double* weights) {
+  for (size_t o = 0; o < ((count + 3) & ~size_t{3}); ++o) {
+    double* column = weights + 4 * span * (o / 4) + o % 4;
+    if (o >= count) {
+      for (size_t j = 0; j < span; ++j) {
+        column[4 * j] = 0.0;
+      }
+      continue;
+    }
+    const size_t c = first + o;
     const double max_dist =
-        std::max(static_cast<double>(i - lo), static_cast<double>(hi - 1 - i));
-    double sw = 0.0;
-    double swx = 0.0;
-    double swy = 0.0;
-    double swxx = 0.0;
-    double swxy = 0.0;
-    for (size_t j = lo; j < hi; ++j) {
-      const double dist = std::fabs(static_cast<double>(j) - static_cast<double>(i));
-      const double w = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
+        std::max(static_cast<double>(c), static_cast<double>(span - 1 - c));
+    for (size_t j = 0; j < span; ++j) {
+      const double dist = std::fabs(static_cast<double>(j) - static_cast<double>(c));
+      column[4 * j] = max_dist > 0.0 ? Tricube(dist / (max_dist + 1.0)) : 1.0;
+    }
+  }
+}
+
+void ScalarLoessEdgeDot(const double* weights, size_t span, size_t count, bool mirrored,
+                        const double* y, size_t lo, double* swy, double* swxy) {
+  for (size_t o = 0; o < count; ++o) {
+    const double* column = weights + 4 * span * (o / 4) + o % 4;
+    double sum_y = 0.0;
+    double sum_xy = 0.0;
+    for (size_t t = 0; t < span; ++t) {
+      const double w = column[4 * (mirrored ? span - 1 - t : t)];
       if (w <= 0.0) {
         continue;
       }
-      const double x = static_cast<double>(j);
-      sw += w;
-      swx += w * x;
-      swy += w * y[j - lo];
-      swxx += w * x * x;
-      swxy += w * x * y[j - lo];
+      const double x = static_cast<double>(lo + t);
+      sum_y += w * y[t];
+      sum_xy += w * x * y[t];
     }
-    double* out = sums + 5 * o;
-    out[0] = sw;
-    out[1] = swx;
-    out[2] = swy;
-    out[3] = swxx;
-    out[4] = swxy;
+    swy[o] = sum_y;
+    swxy[o] = sum_xy;
+  }
+}
+
+void ScalarFftButterflies(double* re, double* im, size_t n, size_t half, const double* wr,
+                          const double* wi) {
+  for (size_t i = 0; i < n; i += 2 * half) {
+    double* even_re = re + i;
+    double* even_im = im + i;
+    double* odd_re = re + i + half;
+    double* odd_im = im + i + half;
+    for (size_t k = 0; k < half; ++k) {
+      const double a = odd_re[k];
+      const double b = odd_im[k];
+      const double t_re = a * wr[k] - b * wi[k];
+      const double t_im = a * wi[k] + b * wr[k];
+      const double e_re = even_re[k];
+      const double e_im = even_im[k];
+      even_re[k] = e_re + t_re;
+      even_im[k] = e_im + t_im;
+      odd_re[k] = e_re - t_re;
+      odd_im[k] = e_im - t_im;
+    }
   }
 }
 
 constexpr Kernels kScalarKernels = {
     &ScalarSumPair,         &ScalarCenteredMoments,  &ScalarSquaredDistances,
     &ScalarClassifyValues,  &ScalarMinPositiveGap,   &ScalarPrefixSumI64,
-    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeSums,
+    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeWeights,
+    &ScalarLoessEdgeDot,    &ScalarFftButterflies,
 };
 
 // ---------------------------------------------------------------------------
@@ -255,7 +283,8 @@ void NeonCenteredMoments(const double* x, const double* y, size_t n, double mean
 constexpr Kernels kNeonKernels = {
     &NeonSumPair,           &NeonCenteredMoments,    &ScalarSquaredDistances,
     &ScalarClassifyValues,  &ScalarMinPositiveGap,   &ScalarPrefixSumI64,
-    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeSums,
+    &ScalarPrefixXorToDoubles, &ScalarLoessDot2,     &ScalarLoessEdgeWeights,
+    &ScalarLoessEdgeDot,    &ScalarFftButterflies,
 };
 
 #endif  // FBD_SIMD_HAS_NEON

@@ -32,13 +32,18 @@
 //   * squared_distances keeps each cell's accumulation in ascending
 //     dimension order — the historical serial order — and vectorizes ACROSS
 //     cells (lane = cell) instead of across dimensions.
-//   * The loess kernels (loess_dot2, loess_edge_sums) likewise keep each
-//     output's historical serial order over the window (k = 0..span-1) and
-//     vectorize ACROSS outputs (lane = output): neighbouring outputs read
-//     neighbouring windows, so lane o at step k is one unaligned load away
-//     from lane o + 1. Lanes an edge fit skips (w <= 0) are excluded by a
-//     select that keeps the old sums, never by adding a zero weight, because
-//     0 * Inf is NaN where the skipped term added nothing.
+//   * The loess kernels (loess_dot2, loess_edge_weights, loess_edge_dot)
+//     likewise keep each output's historical serial order over the window
+//     (k = 0..span-1) and vectorize ACROSS outputs (lane = output):
+//     neighbouring outputs read neighbouring windows, so lane o at step k is
+//     one unaligned load away from lane o + 1, and the edge fits' weights are
+//     stored four fits to a row so one load feeds four lanes. Terms
+//     an edge fit skips (w <= 0) are excluded by a select that keeps the old
+//     sums, never by adding a zero weight, because 0 * Inf is NaN where the
+//     skipped term added nothing.
+//   * fft_butterflies is elementwise: every output is one butterfly with
+//     the scalar expression's operations in the scalar order, so lanes need
+//     no reduction contract at all.
 //   * The integer kernels (prefix sums, gap scan, classification counts) are
 //     exact in any association and need no ordering contract.
 //
@@ -111,15 +116,33 @@ struct Kernels {
   void (*loess_dot2)(const double* x, size_t count, const double* a, const double* b,
                      size_t taps, double* out_a, double* out_b);
 
-  // Loess's clamped edge fits: `count` local linear fits that share the
-  // window y[0..span), whose points sit at positions lo..lo+span-1. Fit o is
-  // centered at c = center + o (lo <= c < lo + span) with half-width
-  // m = max(c - lo, lo + span - 1 - c); point j gets the tricube weight
-  // w = m > 0 ? tricube(|j - c| / (m + 1)) : 1 and is skipped when w <= 0.
-  // Writes sums[5 * o + {0..4}] = {sw, swx, swy, swxx, swxy} with x = j,
-  // accumulated in ascending j exactly as the historical per-point fit.
-  void (*loess_edge_sums)(const double* y, size_t lo, size_t span, size_t center,
-                          size_t count, double* sums);
+  // Tricube weights of loess's clamped left-edge fits first..first+count-1
+  // (first + count <= span) over the window [0, span). Fit c is centered at c
+  // with half-width m = max(c, span - 1 - c); point j gets
+  // w = m > 0 ? tricube(|j - c| / (m + 1)) : 1, tricube as the historical
+  // per-point fit computes it. Fits are stored in blocks of four, one row per
+  // point: fit first + o at weights[4 * span * (o / 4) + 4 * j + o % 4]; the
+  // lanes of the last block past `count` are 0. weights holds
+  // 4 * span * ceil(count / 4) doubles.
+  void (*loess_edge_weights)(size_t span, size_t first, size_t count, double* weights);
+
+  // The y-dependent sums of `count` edge fits whose weights are laid out as
+  // loess_edge_weights writes them, over the window y[0..span) at positions
+  // x_t = lo + t. For fit o, with w_t its weight in row t (row span - 1 - t
+  // when `mirrored`):
+  //   swy[o] = sum_t w_t * y[t],  swxy[o] = sum_t (w_t * x_t) * y[t],
+  // over t = 0..span-1 in ascending order, each from +0.0, skipping every
+  // term with w_t <= 0 — the historical per-point fit's order.
+  void (*loess_edge_dot)(const double* weights, size_t span, size_t count, bool mirrored,
+                         const double* y, size_t lo, double* swy, double* swxy);
+
+  // One radix-2 FFT stage over split re/im arrays of length n (a power of
+  // two): for every block i = 0, 2h, 4h, ... and k in [0, h), with a/b the
+  // odd element re/im [i + h + k] and e the even one [i + k],
+  //   t = (a * wr[k] - b * wi[k], a * wi[k] + b * wr[k]),
+  //   even = e + t, odd = e - t.
+  void (*fft_butterflies)(double* re, double* im, size_t n, size_t half, const double* wr,
+                          const double* wi);
 };
 
 // The scalar oracle table.

@@ -17,17 +17,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace fbdetect {
 namespace simd {
 namespace {
-
-double BitsToDouble(uint64_t bits) {
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
 
 void Avx2SumPair(const double* x, const double* y, size_t n, double* sum_x,
                  double* sum_y) {
@@ -267,65 +260,140 @@ void Avx2LoessDot2(const double* x, size_t count, const double* a, const double*
   }
 }
 
-// Four fits per pass, one per lane. Every lane sees the same point (x, y) at
-// step j; only the tricube weight differs. Blends reproduce the oracle's two
-// ternaries and its skip of w <= 0 terms.
-void Avx2LoessEdgeSums(const double* y, size_t lo, size_t span, size_t center,
-                       size_t count, double* sums) {
-  const size_t hi = lo + span;
+// Four fits per vector, one per lane: every lane sees the same point j, and
+// only the center differs. Blends reproduce the oracle's two ternaries and
+// zero the lanes past `count`.
+void Avx2LoessEdgeWeights(size_t span, size_t first, size_t count, double* weights) {
   const __m256d zero = _mm256_setzero_pd();
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d abs_mask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  size_t o = 0;
-  for (; o + 4 <= count; o += 4) {
+  for (size_t o = 0; o < count; o += 4) {
     alignas(32) double lane_center[4];
     alignas(32) double lane_width[4];
+    alignas(32) double lane_valid[4];
     for (size_t l = 0; l < 4; ++l) {
-      const size_t i = center + o + l;
-      lane_center[l] = static_cast<double>(i);
-      lane_width[l] = std::max(static_cast<double>(i - lo), static_cast<double>(hi - 1 - i));
+      const bool valid = o + l < count;
+      const size_t c = first + o + l;
+      lane_center[l] = static_cast<double>(c);
+      lane_width[l] =
+          valid ? std::max(static_cast<double>(c), static_cast<double>(span - 1 - c)) : 0.0;
+      lane_valid[l] = valid ? 1.0 : 0.0;
     }
     const __m256d c = _mm256_load_pd(lane_center);
     const __m256d m = _mm256_load_pd(lane_width);
     const __m256d scale = _mm256_add_pd(m, one);
     const __m256d has_width = _mm256_cmp_pd(m, zero, _CMP_GT_OQ);
-    __m256d sw = zero;
-    __m256d swx = zero;
-    __m256d swy = zero;
-    __m256d swxx = zero;
-    __m256d swxy = zero;
-    for (size_t j = lo; j < hi; ++j) {
-      const __m256d x = _mm256_set1_pd(static_cast<double>(j));
-      const __m256d yj = _mm256_set1_pd(y[j - lo]);
+    const __m256d valid = _mm256_cmp_pd(_mm256_load_pd(lane_valid), zero, _CMP_GT_OQ);
+    double* block = weights + 4 * span * (o / 4);
+    __m256d x = zero;
+    for (size_t j = 0; j < span; ++j) {
       const __m256d dist = _mm256_and_pd(_mm256_sub_pd(x, c), abs_mask);
       const __m256d u = _mm256_and_pd(_mm256_div_pd(dist, scale), abs_mask);
       const __m256d a = _mm256_sub_pd(one, _mm256_mul_pd(_mm256_mul_pd(u, u), u));
       __m256d w = _mm256_blendv_pd(_mm256_mul_pd(_mm256_mul_pd(a, a), a), zero,
                                    _mm256_cmp_pd(a, zero, _CMP_LE_OQ));
       w = _mm256_blendv_pd(one, w, has_width);
-      const __m256d skip = _mm256_cmp_pd(w, zero, _CMP_LE_OQ);
-      const __m256d wx = _mm256_mul_pd(w, x);
-      sw = _mm256_blendv_pd(_mm256_add_pd(sw, w), sw, skip);
-      swx = _mm256_blendv_pd(_mm256_add_pd(swx, wx), swx, skip);
-      swy = _mm256_blendv_pd(_mm256_add_pd(swy, _mm256_mul_pd(w, yj)), swy, skip);
-      swxx = _mm256_blendv_pd(_mm256_add_pd(swxx, _mm256_mul_pd(wx, x)), swxx, skip);
-      swxy = _mm256_blendv_pd(_mm256_add_pd(swxy, _mm256_mul_pd(wx, yj)), swxy, skip);
-    }
-    alignas(32) double lanes[5][4];
-    _mm256_store_pd(lanes[0], sw);
-    _mm256_store_pd(lanes[1], swx);
-    _mm256_store_pd(lanes[2], swy);
-    _mm256_store_pd(lanes[3], swxx);
-    _mm256_store_pd(lanes[4], swxy);
-    for (size_t l = 0; l < 4; ++l) {
-      for (size_t f = 0; f < 5; ++f) {
-        sums[5 * (o + l) + f] = lanes[f][l];
-      }
+      _mm256_storeu_pd(block + 4 * j, _mm256_and_pd(w, valid));
+      x = _mm256_add_pd(x, one);
     }
   }
-  if (o < count) {
-    Scalar().loess_edge_sums(y, lo, span, center + o, count - o, sums + 5 * o);
+}
+
+// Two weight blocks (eight fits) per pass where possible, so four
+// independent accumulator chains hide the add latency. x_t advances by an
+// exact +1.0 (positions stay far below 2^53).
+void Avx2LoessEdgeDot(const double* weights, size_t span, size_t count, bool mirrored,
+                      const double* y, size_t lo, double* swy, double* swxy) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d one = _mm256_set1_pd(1.0);
+  const size_t block_size = 4 * span;
+  // Offset of row t within a block; unsigned wrap-around makes the mirrored
+  // walk's last decrement harmless (the wrapped offset is never read).
+  const size_t first_row = mirrored ? 4 * (span - 1) : 0;
+  const size_t row_step = mirrored ? size_t{0} - 4 : 4;
+  size_t o = 0;
+  for (; o + 8 <= count; o += 8) {
+    const double* block0 = weights + block_size * (o / 4);
+    const double* block1 = block0 + block_size;
+    __m256d x = _mm256_set1_pd(static_cast<double>(lo));
+    __m256d sy0 = zero;
+    __m256d sxy0 = zero;
+    __m256d sy1 = zero;
+    __m256d sxy1 = zero;
+    size_t row = first_row;
+    for (size_t t = 0; t < span; ++t, row += row_step) {
+      const __m256d yt = _mm256_broadcast_sd(y + t);
+      const __m256d w0 = _mm256_loadu_pd(block0 + row);
+      const __m256d w1 = _mm256_loadu_pd(block1 + row);
+      const __m256d skip0 = _mm256_cmp_pd(w0, zero, _CMP_LE_OQ);
+      const __m256d skip1 = _mm256_cmp_pd(w1, zero, _CMP_LE_OQ);
+      sy0 = _mm256_blendv_pd(_mm256_add_pd(sy0, _mm256_mul_pd(w0, yt)), sy0, skip0);
+      sy1 = _mm256_blendv_pd(_mm256_add_pd(sy1, _mm256_mul_pd(w1, yt)), sy1, skip1);
+      sxy0 = _mm256_blendv_pd(
+          _mm256_add_pd(sxy0, _mm256_mul_pd(_mm256_mul_pd(w0, x), yt)), sxy0, skip0);
+      sxy1 = _mm256_blendv_pd(
+          _mm256_add_pd(sxy1, _mm256_mul_pd(_mm256_mul_pd(w1, x), yt)), sxy1, skip1);
+      x = _mm256_add_pd(x, one);
+    }
+    _mm256_storeu_pd(swy + o, sy0);
+    _mm256_storeu_pd(swy + o + 4, sy1);
+    _mm256_storeu_pd(swxy + o, sxy0);
+    _mm256_storeu_pd(swxy + o + 4, sxy1);
+  }
+  for (; o < count; o += 4) {
+    const double* block = weights + block_size * (o / 4);
+    __m256d x = _mm256_set1_pd(static_cast<double>(lo));
+    __m256d sy = zero;
+    __m256d sxy = zero;
+    size_t row = first_row;
+    for (size_t t = 0; t < span; ++t, row += row_step) {
+      const __m256d yt = _mm256_broadcast_sd(y + t);
+      const __m256d w = _mm256_loadu_pd(block + row);
+      const __m256d skip = _mm256_cmp_pd(w, zero, _CMP_LE_OQ);
+      sy = _mm256_blendv_pd(_mm256_add_pd(sy, _mm256_mul_pd(w, yt)), sy, skip);
+      sxy = _mm256_blendv_pd(_mm256_add_pd(sxy, _mm256_mul_pd(_mm256_mul_pd(w, x), yt)), sxy,
+                             skip);
+      x = _mm256_add_pd(x, one);
+    }
+    alignas(32) double lanes_y[4];
+    alignas(32) double lanes_xy[4];
+    _mm256_store_pd(lanes_y, sy);
+    _mm256_store_pd(lanes_xy, sxy);
+    for (size_t l = 0; l < 4 && o + l < count; ++l) {
+      swy[o + l] = lanes_y[l];
+      swxy[o + l] = lanes_xy[l];
+    }
+  }
+}
+
+// Stages with half >= 4 (a multiple of four) run four butterflies per
+// vector; the first two stages stay scalar.
+void Avx2FftButterflies(double* re, double* im, size_t n, size_t half, const double* wr,
+                        const double* wi) {
+  if (half < 4) {
+    Scalar().fft_butterflies(re, im, n, half, wr, wi);
+    return;
+  }
+  for (size_t i = 0; i < n; i += 2 * half) {
+    double* even_re = re + i;
+    double* even_im = im + i;
+    double* odd_re = re + i + half;
+    double* odd_im = im + i + half;
+    for (size_t k = 0; k < half; k += 4) {
+      const __m256d a = _mm256_loadu_pd(odd_re + k);
+      const __m256d b = _mm256_loadu_pd(odd_im + k);
+      const __m256d c = _mm256_loadu_pd(wr + k);
+      const __m256d d = _mm256_loadu_pd(wi + k);
+      const __m256d t_re = _mm256_sub_pd(_mm256_mul_pd(a, c), _mm256_mul_pd(b, d));
+      const __m256d t_im = _mm256_add_pd(_mm256_mul_pd(a, d), _mm256_mul_pd(b, c));
+      const __m256d e_re = _mm256_loadu_pd(even_re + k);
+      const __m256d e_im = _mm256_loadu_pd(even_im + k);
+      _mm256_storeu_pd(even_re + k, _mm256_add_pd(e_re, t_re));
+      _mm256_storeu_pd(even_im + k, _mm256_add_pd(e_im, t_im));
+      _mm256_storeu_pd(odd_re + k, _mm256_sub_pd(e_re, t_re));
+      _mm256_storeu_pd(odd_im + k, _mm256_sub_pd(e_im, t_im));
+    }
   }
 }
 
@@ -351,7 +419,9 @@ const Kernels* Avx2Kernels() {
       Scalar().prefix_sum_i64,
       Scalar().prefix_xor_to_doubles,
       &Avx2LoessDot2,
-      &Avx2LoessEdgeSums,
+      &Avx2LoessEdgeWeights,
+      &Avx2LoessEdgeDot,
+      &Avx2FftButterflies,
   };
   return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/simd.h"
 #include "src/stats/descriptive.h"
 
 namespace fbdetect {
@@ -115,39 +116,22 @@ void EnsureTwiddles(FftScratch& scratch, size_t n, bool inverse) {
   }
 }
 
-// Radix-2 butterflies over scratch.re/im, already in bit-reversed order, with
-// the complex product written out as (a*c - b*d, a*d + b*c): the value
-// std::complex computes whenever it is finite, without its NaN-recovery
-// branch. Returns false when any output is not finite — a non-finite value
-// anywhere propagates to some output, so true means the std::complex path
-// never left its finite branch and the outputs are bit-identical to it.
+// Radix-2 butterflies over scratch.re/im, already in bit-reversed order, one
+// simd::Kernels::fft_butterflies call per stage, with the complex product
+// written out as (a*c - b*d, a*d + b*c): the value std::complex computes
+// whenever it is finite, without its NaN-recovery branch. Returns false when
+// any output is not finite — a non-finite value anywhere propagates to some
+// output, so true means the std::complex path never left its finite branch
+// and the outputs are bit-identical to it.
 bool SplitButterflies(FftScratch& scratch, size_t n, bool inverse) {
   EnsureTwiddles(scratch, n, inverse);
   double* re = scratch.re.data();
   double* im = scratch.im.data();
   const double* tw_re = scratch.tw_re[inverse ? 1 : 0].data();
   const double* tw_im = scratch.tw_im[inverse ? 1 : 0].data();
+  const simd::Kernels& kernels = simd::Active();
   for (size_t half = 1; half < n; half <<= 1) {
-    const double* wr = tw_re + half - 1;
-    const double* wi = tw_im + half - 1;
-    for (size_t i = 0; i < n; i += 2 * half) {
-      double* even_re = re + i;
-      double* even_im = im + i;
-      double* odd_re = re + i + half;
-      double* odd_im = im + i + half;
-      for (size_t k = 0; k < half; ++k) {
-        const double a = odd_re[k];
-        const double b = odd_im[k];
-        const double t_re = a * wr[k] - b * wi[k];
-        const double t_im = a * wi[k] + b * wr[k];
-        const double e_re = even_re[k];
-        const double e_im = even_im[k];
-        even_re[k] = e_re + t_re;
-        even_im[k] = e_im + t_im;
-        odd_re[k] = e_re - t_re;
-        odd_im[k] = e_im - t_im;
-      }
-    }
+    kernels.fft_butterflies(re, im, n, half, tw_re + half - 1, tw_im + half - 1);
   }
   for (size_t i = 0; i < n; ++i) {
     if (!std::isfinite(re[i]) || !std::isfinite(im[i])) {

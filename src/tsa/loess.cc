@@ -65,96 +65,165 @@ double RobustFitAt(std::span<const double> values, std::span<const double> robus
   return FinishFit(sums, static_cast<double>(i), values[i]);
 }
 
-// Unweighted fits at points [center, center + count), which all use the
-// clamped window [lo, lo + span).
-void EdgeFits(std::span<const double> values, size_t lo, size_t span, size_t center,
-              size_t count, std::span<double> out) {
-  if (count == 0) {
-    return;
+// Edge weights a plan holds at once: 2 MiB, every edge fit up to span 724
+// (STL trend spans of periods up to ~480 points). Longer spans rebuild the
+// weights chunk by chunk in each Apply, so a plan's memory stays linear in
+// the span instead of growing with span^2 / 2.
+constexpr size_t kMaxEdgeWeights = size_t{1} << 18;
+
+}  // namespace
+
+LoessPlan::LoessPlan(size_t n, size_t span, ArenaScope& scope) : n_(n) {
+  if (n < 2) {
+    return;  // Apply copies the single value, if any.
   }
-  ArenaScope scope(Arena::ThreadLocal());
-  const std::span<double> sums = scope.MakeUninitializedSpan<double>(5 * count);
-  simd::Active().loess_edge_sums(values.data() + lo, lo, span, center, count, sums.data());
-  for (size_t o = 0; o < count; ++o) {
-    const size_t i = center + o;
-    out[i] = FinishFit(sums.data() + 5 * o, static_cast<double>(i), values[i]);
+  span_ = std::clamp<size_t>(span, 2, n);
+  const size_t half = span_ / 2;
+  right_ = span_ - half - 1;
+  interior_ = n > span_ ? n - span_ + 1 : 0;
+  left_ = n - interior_ - right_;
+  const simd::Kernels& kernels = simd::Active();
+
+  if (interior_ > 0) {
+    // Away from the edges every window has the same shape, so the tricube
+    // weights form one fixed kernel and the fit at i collapses to two kernel
+    // dot products:
+    //   smoothed[i] = (swy - slope * swk) / sw,
+    //   slope = (sw * swky - swk * swy) / (sw * swkk - swk^2),
+    // where sw/swk/swkk are kernel constants and swy/swky are dot products
+    // of the kernel (and the kernel times the centered offset) with the
+    // window: the same least-squares fit with the arithmetic hoisted out of
+    // the per-point loop. With n == span the one window is clamped on both
+    // sides and every point keeps the per-point fit.
+    const double center = static_cast<double>(half);
+    const double max_dist = std::max(center, static_cast<double>(span_ - 1 - half));
+    kernel_ = scope.MakeUninitializedSpan<double>(span_);
+    kernel_k_ = scope.MakeUninitializedSpan<double>(span_);
+    double swkk = 0.0;
+    for (size_t k = 0; k < span_; ++k) {
+      const double offset = static_cast<double>(k) - center;
+      const double w = max_dist > 0.0 ? Tricube(std::fabs(offset) / (max_dist + 1.0)) : 1.0;
+      kernel_[k] = w;
+      kernel_k_[k] = w * offset;
+      sw_ += w;
+      swk_ += w * offset;
+      swkk += w * offset * offset;
+    }
+    denom_ = sw_ * swkk - swk_ * swk_;
+    degenerate_ = sw_ <= 0.0 || std::fabs(denom_) < 1e-12 * sw_ * swkk + 1e-300;
+    swky_ = scope.MakeUninitializedSpan<double>(interior_);
+  }
+
+  // Edge weights are built chunk_ fits at a time; when the whole table fits
+  // the budget there is one chunk and it stays valid for every Apply.
+  chunk_ = std::min(left_, 4 * std::max<size_t>(1, kMaxEdgeWeights / (4 * span_)));
+  edge_weights_ = scope.MakeUninitializedSpan<double>(4 * span_ * ((chunk_ + 3) / 4));
+  for (size_t s = 0; s < 3; ++s) {
+    left_sums_[s] = scope.MakeUninitializedSpan<double>(left_);
+    right_sums_[s] = scope.MakeUninitializedSpan<double>(right_);
+  }
+  edge_swy_ = scope.MakeUninitializedSpan<double>(chunk_);
+  edge_swxy_ = scope.MakeUninitializedSpan<double>(chunk_);
+  // The constant sums come from the same dot kernel: with y = 1 it yields
+  // (sw, swx) and with y = x it yields (swx, swxx), because w * 1 == w and
+  // (w * x) * 1 == w * x exactly. Each is therefore the per-point fit's sum
+  // bit for bit, in its own side's ascending-point order.
+  const size_t lo = n - span_;
+  const std::span<double> ones = scope.MakeUninitializedSpan<double>(span_);
+  const std::span<double> left_x = scope.MakeUninitializedSpan<double>(span_);
+  const std::span<double> right_x = scope.MakeUninitializedSpan<double>(span_);
+  for (size_t t = 0; t < span_; ++t) {
+    ones[t] = 1.0;
+    left_x[t] = static_cast<double>(t);
+    right_x[t] = static_cast<double>(lo + t);
+  }
+  for (size_t first = 0; first < left_; first += chunk_) {
+    const size_t count = std::min(chunk_, left_ - first);
+    const size_t right_count = first < right_ ? std::min(chunk_, right_ - first) : 0;
+    const double* weights = edge_weights_.data();
+    kernels.loess_edge_weights(span_, first, count, edge_weights_.data());
+    kernels.loess_edge_dot(weights, span_, count, /*mirrored=*/false, ones.data(), 0,
+                           left_sums_[0].data() + first, left_sums_[1].data() + first);
+    kernels.loess_edge_dot(weights, span_, count, /*mirrored=*/false, left_x.data(), 0,
+                           edge_swy_.data(), left_sums_[2].data() + first);
+    kernels.loess_edge_dot(weights, span_, right_count, /*mirrored=*/true, ones.data(), lo,
+                           right_sums_[0].data() + first, right_sums_[1].data() + first);
+    kernels.loess_edge_dot(weights, span_, right_count, /*mirrored=*/true, right_x.data(), lo,
+                           edge_swy_.data(), right_sums_[2].data() + first);
   }
 }
 
-}  // namespace
+void LoessPlan::Apply(std::span<const double> values, std::span<double> out) {
+  FBD_CHECK(values.size() == n_ && out.size() == n_);
+  if (n_ < 2) {
+    if (n_ == 1) {
+      out[0] = values[0];
+    }
+    return;
+  }
+  const simd::Kernels& kernels = simd::Active();
+  if (interior_ > 0) {
+    const size_t first = span_ / 2;
+    const std::span<double> swy = out.subspan(first, interior_);
+    kernels.loess_dot2(values.data(), interior_, kernel_.data(), kernel_k_.data(), span_,
+                       swy.data(), swky_.data());
+    for (size_t o = 0; o < interior_; ++o) {
+      if (degenerate_) {
+        swy[o] = sw_ > 0.0 ? swy[o] / sw_ : values[first + o];
+      } else {
+        const double slope = (sw_ * swky_[o] - swk_ * swy[o]) / denom_;
+        swy[o] = (swy[o] - slope * swk_) / sw_;
+      }
+    }
+  }
+  const size_t lo = n_ - span_;
+  for (size_t first = 0; first < left_; first += chunk_) {
+    const size_t count = std::min(chunk_, left_ - first);
+    const size_t right_count = first < right_ ? std::min(chunk_, right_ - first) : 0;
+    if (chunk_ < left_) {
+      kernels.loess_edge_weights(span_, first, count, edge_weights_.data());
+    }
+    kernels.loess_edge_dot(edge_weights_.data(), span_, count, /*mirrored=*/false,
+                           values.data(), 0, edge_swy_.data(), edge_swxy_.data());
+    for (size_t o = 0; o < count; ++o) {
+      const size_t i = first + o;
+      const double sums[5] = {left_sums_[0][i], left_sums_[1][i], edge_swy_[o],
+                              left_sums_[2][i], edge_swxy_[o]};
+      out[i] = FinishFit(sums, static_cast<double>(i), values[i]);
+    }
+    kernels.loess_edge_dot(edge_weights_.data(), span_, right_count, /*mirrored=*/true,
+                           values.data() + lo, lo, edge_swy_.data(), edge_swxy_.data());
+    for (size_t o = 0; o < right_count; ++o) {
+      const size_t r = first + o;
+      const size_t i = n_ - 1 - r;
+      const double sums[5] = {right_sums_[0][r], right_sums_[1][r], edge_swy_[o],
+                              right_sums_[2][r], edge_swxy_[o]};
+      out[i] = FinishFit(sums, static_cast<double>(i), values[i]);
+    }
+  }
+}
 
 void LoessSmoothInto(std::span<const double> values, size_t span,
                      std::span<const double> robustness, std::span<double> out) {
   const size_t n = values.size();
   FBD_CHECK(out.size() == n);
+  FBD_CHECK(robustness.empty() || robustness.size() == n);
+  if (robustness.empty()) {
+    ArenaScope scope(Arena::ThreadLocal());
+    LoessPlan(n, span, scope).Apply(values, out);
+    return;
+  }
   if (n == 0) {
     return;
   }
-  FBD_CHECK(robustness.empty() || robustness.size() == n);
   if (n == 1) {
     out[0] = values[0];
     return;
   }
   span = std::clamp<size_t>(span, 2, n);
-  if (!robustness.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = RobustFitAt(values, robustness, span, i);
-    }
-    return;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = RobustFitAt(values, robustness, span, i);
   }
-  if (n == span) {
-    EdgeFits(values, 0, span, 0, n, out);
-    return;
-  }
-
-  // Unweighted (STL's default: outer_iterations == 1 keeps the robustness
-  // weights empty). Away from the edges every window is the same shape, so
-  // the tricube weights form one fixed kernel and the fit at i collapses to
-  // two kernel dot products:
-  //   smoothed[i] = (swy - slope * swk) / sw,
-  //   slope = (sw * swky - swk * swy) / (sw * swkk - swk^2),
-  // where sw/swk/swkk are kernel constants and swy/swky are dot products of
-  // the kernel (and the kernel times the centered offset) with the window.
-  // This is the same least-squares fit with the arithmetic hoisted out of the
-  // per-point loop. The clamped edge windows keep the per-point fit.
-  const size_t half = span / 2;
-  const double center = static_cast<double>(half);
-  const double max_dist = std::max(center, static_cast<double>(span - 1 - half));
-  ArenaScope scope(Arena::ThreadLocal());
-  const std::span<double> kernel = scope.MakeUninitializedSpan<double>(span);
-  const std::span<double> kernel_k = scope.MakeUninitializedSpan<double>(span);
-  double sw = 0.0;
-  double swk = 0.0;
-  double swkk = 0.0;
-  for (size_t k = 0; k < span; ++k) {
-    const double offset = static_cast<double>(k) - center;
-    const double w = max_dist > 0.0 ? Tricube(std::fabs(offset) / (max_dist + 1.0)) : 1.0;
-    kernel[k] = w;
-    kernel_k[k] = w * offset;
-    sw += w;
-    swk += w * offset;
-    swkk += w * offset * offset;
-  }
-  const double denom = sw * swkk - swk * swk;
-  const bool degenerate = sw <= 0.0 || std::fabs(denom) < 1e-12 * sw * swkk + 1e-300;
-  // Interior: lo = i - half >= 0 and lo + span <= n.
-  const size_t first = half;
-  const size_t last = n - span + half;  // Inclusive.
-  const size_t interior = last - first + 1;
-  const std::span<double> swy = out.subspan(first, interior);
-  const std::span<double> swky = scope.MakeUninitializedSpan<double>(interior);
-  simd::Active().loess_dot2(values.data(), interior, kernel.data(), kernel_k.data(), span,
-                            swy.data(), swky.data());
-  for (size_t o = 0; o < interior; ++o) {
-    if (degenerate) {
-      swy[o] = sw > 0.0 ? swy[o] / sw : values[first + o];
-    } else {
-      const double slope = (sw * swky[o] - swk * swy[o]) / denom;
-      swy[o] = (swy[o] - slope * swk) / sw;
-    }
-  }
-  EdgeFits(values, 0, span, 0, first, out);
-  EdgeFits(values, n - span, span, last + 1, n - last - 1, out);
 }
 
 std::vector<double> LoessSmoothWeighted(std::span<const double> values, size_t span,

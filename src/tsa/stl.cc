@@ -65,7 +65,10 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
   const size_t lowpass_span = config.lowpass_span != 0 ? config.lowpass_span : NextOdd(period);
 
   // Every intermediate lives in the thread's arena for the whole call: one
-  // block serves all inner and outer iterations.
+  // block serves all inner and outer iterations. So do the loess plans: the
+  // unweighted smooths repeat on a handful of (length, span) pairs — trend,
+  // low-pass, and the two cycle-subseries lengths ceil(n / period) and
+  // floor(n / period) — so their weights are built once per decomposition.
   ArenaScope scope(Arena::ThreadLocal());
   const std::span<double> seasonal = scope.MakeSpan<double>(n);
   const std::span<double> trend = scope.MakeSpan<double>(n);
@@ -81,6 +84,10 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
   const std::span<double> subweights = scope.MakeUninitializedSpan<double>(max_cycles);
   const std::span<double> smoothed = scope.MakeUninitializedSpan<double>(max_cycles);
   std::span<double> robustness;  // Empty = unweighted.
+  LoessPlan trend_plan(n, trend_span, scope);
+  LoessPlan lowpass_plan(n, lowpass_span, scope);
+  LoessPlan cycle_plans[2] = {LoessPlan(max_cycles, config.seasonal_span, scope),
+                              LoessPlan(n / period, config.seasonal_span, scope)};
 
   for (int outer = 0; outer < std::max(1, config.outer_iterations); ++outer) {
     for (int inner = 0; inner < std::max(1, config.inner_iterations); ++inner) {
@@ -98,10 +105,13 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
             subweights[k] = robustness[phase + k * period];
           }
         }
-        LoessSmoothInto(subseries.first(cycles), config.seasonal_span,
-                        robustness.empty() ? std::span<const double>()
-                                           : std::span<const double>(subweights.first(cycles)),
-                        smoothed.first(cycles));
+        if (robustness.empty()) {
+          cycle_plans[cycles == max_cycles ? 0 : 1].Apply(subseries.first(cycles),
+                                                           smoothed.first(cycles));
+        } else {
+          LoessSmoothInto(subseries.first(cycles), config.seasonal_span,
+                          subweights.first(cycles), smoothed.first(cycles));
+        }
         for (size_t k = 0; k < cycles; ++k) {
           cycle[phase + k * period] = smoothed[k];
         }
@@ -109,7 +119,7 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
       // Step 3: low-pass filter of the cycle-subseries (moving average of
       // width `period`, then loess) to extract leftover trend in it.
       CenteredMovingAverage(cycle, period, prefix, moving_average);
-      LoessSmoothInto(moving_average, lowpass_span, {}, lowpass);
+      lowpass_plan.Apply(moving_average, lowpass);
       // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
       for (size_t i = 0; i < n; ++i) {
         seasonal[i] = cycle[i] - lowpass[i];
@@ -118,7 +128,11 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
       for (size_t i = 0; i < n; ++i) {
         deseasonalized[i] = values[i] - seasonal[i];
       }
-      LoessSmoothInto(deseasonalized, trend_span, robustness, trend);
+      if (robustness.empty()) {
+        trend_plan.Apply(deseasonalized, trend);
+      } else {
+        LoessSmoothInto(deseasonalized, trend_span, robustness, trend);
+      }
     }
     if (outer + 1 < config.outer_iterations) {
       // Outer loop: recompute robustness weights from residuals (bisquare).

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/arena.h"
 #include "src/common/random.h"
 #include "src/core/long_term.h"
 #include "src/core/seasonality_stage.h"
@@ -496,6 +497,58 @@ TEST(LongTermKernelsTest, LoessMatchesFrozenForEverySpanAtScanWindowLengths) {
   }
 }
 
+// A plan built once for (n, span) and applied to every input kind in turn
+// matches the frozen loess on each.
+void ExpectPlanMatches(const std::vector<Input>& inputs, size_t n, size_t span) {
+  ArenaScope scope(Arena::ThreadLocal());
+  LoessPlan plan(n, span, scope);
+  std::vector<double> out(n);
+  for (const Input& input : inputs) {
+    std::fill(out.begin(), out.end(), -7.0);
+    plan.Apply(input.values, out);
+    ExpectSameBits(out, frozen::LoessSmoothWeighted(input.values, span, {}),
+                   "plan " + input.name + " n=" + std::to_string(n) +
+                       " span=" + std::to_string(span));
+  }
+}
+
+TEST(LongTermKernelsTest, LoessPlanMatchesFrozenForEverySpanOnShortSeries) {
+  for (size_t n = 0; n <= 64; ++n) {
+    const std::vector<Input> inputs = Inputs(n, 500 + n);
+    for (size_t span = 2; span <= n + 2; ++span) {
+      ExpectPlanMatches(inputs, n, span);
+    }
+  }
+}
+
+TEST(LongTermKernelsTest, LoessPlanMatchesFrozenForEverySpanAtScanWindowLengths) {
+  for (size_t n : {size_t{599}, size_t{612}}) {
+    const std::vector<Input> inputs = Inputs(n, 600 + n);
+    // Random and seasonal at every span (n + 1 clamps to n == span); every
+    // input kind, denormals included, at the spans STL uses for periods
+    // 4..156 and around the vector blocks.
+    const std::vector<Input> finite(inputs.begin(), inputs.begin() + 2);
+    for (size_t span = 2; span <= n + 1; ++span) {
+      ExpectPlanMatches(finite, n, span);
+    }
+    for (size_t span : {2, 3, 7, 8, 9, 13, 31, 45, 73, 145, 217, 235, 300, 611, 612}) {
+      ExpectPlanMatches(inputs, n, span);
+    }
+  }
+}
+
+// Spans whose edge-weight table is over the plan's budget rebuild it in
+// chunks on every Apply: one chunk and several, with a short last chunk and
+// right fits that end inside a chunk.
+TEST(LongTermKernelsTest, LoessPlanMatchesFrozenWhenEdgeWeightsAreChunked) {
+  const size_t n = 2500;
+  const std::vector<Input> inputs = Inputs(n, 800);
+  const std::vector<Input> some{inputs[0], inputs[1], inputs[5]};  // Random, seasonal, NaN/Inf.
+  for (size_t span : {724, 725, 726, 1000, 1201, 1500, 2499, 2500, 2501}) {
+    ExpectPlanMatches(some, n, span);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // STL.
 // ---------------------------------------------------------------------------
@@ -524,6 +577,26 @@ TEST(LongTermKernelsTest, StlMatchesFrozenPlainAndRobust) {
                                " period=" + std::to_string(period) +
                                " outer=" + std::to_string(outer));
         }
+      }
+    }
+  }
+}
+
+// Every period the seasonality detector can report on the scan windows, and
+// the long-term detector's max(4, n / 20) fallback when it reports none.
+TEST(LongTermKernelsTest, StlMatchesFrozenAtEveryDetectablePeriod) {
+  for (size_t n : {size_t{599}, size_t{612}}) {
+    const std::vector<Input> inputs = Inputs(n, 700 + n);
+    std::vector<size_t> periods;
+    for (size_t period = 4; period <= 204; ++period) {
+      periods.push_back(period);
+    }
+    periods.push_back(std::max<size_t>(4, n / 20));
+    for (size_t period : periods) {
+      for (size_t kind : {size_t{0}, size_t{1}, size_t{5}}) {  // Random, seasonal, NaN/Inf.
+        ExpectStlMatches(inputs[kind].values, period, StlConfig{},
+                         "stl " + inputs[kind].name + " n=" + std::to_string(n) +
+                             " period=" + std::to_string(period));
       }
     }
   }

@@ -348,29 +348,98 @@ TEST(SimdKernelsTest, LoessDot2MatchesScalarAcrossShapes) {
   }
 }
 
-TEST(SimdKernelsTest, LoessEdgeSumsMatchScalarAcrossShapes) {
+TEST(SimdKernelsTest, LoessEdgeWeightsMatchScalarAcrossShapes) {
+  const simd::Kernels& best = simd::BestAvailable();
+  const simd::Kernels& scalar = simd::Scalar();
+  // Spans from 1 (zero half-width: every weight is 1) to STL trend spans;
+  // fit counts around the four-lane blocks, up to the whole window.
+  const size_t kSpans[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 145, 217};
+  for (size_t span : kSpans) {
+    for (size_t count = 0; count <= span; ++count) {
+      if (count > 13 && count != span / 2 && count != span / 2 + 1 && count != span) {
+        continue;
+      }
+      const size_t size = 4 * span * ((count + 3) / 4);
+      std::vector<double> w_best(size, -1.0);
+      std::vector<double> w_scalar(size, -2.0);
+      const size_t first = (span - count) / 2;  // A chunk that starts mid-edge.
+      best.loess_edge_weights(span, first, count, w_best.data());
+      scalar.loess_edge_weights(span, first, count, w_scalar.data());
+      for (size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(Bits(w_best[i]), Bits(w_scalar[i]))
+            << "loess_edge_weights diverges at block " << i / (4 * span) << " row "
+            << i % (4 * span) / 4 << " lane " << i % 4 << " span=" << span
+            << " first=" << first << " count=" << count;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, LoessEdgeDotMatchesScalarAcrossShapes) {
   Rng rng(111);
   const simd::Kernels& best = simd::BestAvailable();
   const simd::Kernels& scalar = simd::Scalar();
-  // Spans from 1 (zero half-width: every weight is 1) to STL trend spans,
-  // with the fits at the left edge, the right edge, and every center.
-  const size_t kSpans[] = {1, 2, 3, 4, 5, 7, 8, 9, 31, 145, 217};
-  for (size_t span : kSpans) {
-    for (int trial = 0; trial < 2; ++trial) {
-      const std::vector<double> y =
-          trial == 0 ? FiniteDoubles(span, rng) : AdversarialDoubles(span, rng);
-      const size_t lo = rng.NextUint64(1000);
-      for (const auto& [center, count] :
-           {std::pair<size_t, size_t>{lo, span / 2}, {lo + span - span / 2, span / 2},
-            {lo, span}}) {
-        std::vector<double> sums_best(5 * count, -1.0);
-        std::vector<double> sums_scalar(5 * count, -2.0);
-        best.loess_edge_sums(y.data(), lo, span, center, count, sums_best.data());
-        scalar.loess_edge_sums(y.data(), lo, span, center, count, sums_scalar.data());
-        for (size_t i = 0; i < sums_best.size(); ++i) {
-          EXPECT_TRUE(ContractEqual(sums_best[i], sums_scalar[i]))
-              << "loess_edge_sums diverges at fit " << i / 5 << " sum " << i % 5
-              << " span=" << span << " center=" << center - lo;
+  // Fit counts around the 4- and 8-lane blocks, so partial remainder lanes
+  // and a lone trailing block both occur.
+  const size_t kCounts[] = {0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17, 37, 108};
+  const size_t kSpans[] = {1, 2, 3, 7, 8, 31, 217};
+  for (size_t count : kCounts) {
+    for (size_t span : kSpans) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const std::vector<double> y =
+            trial == 0 ? FiniteDoubles(span, rng) : AdversarialDoubles(span, rng);
+        // Weights with zeros and negatives (skipped terms) mixed in.
+        std::vector<double> weights = FiniteDoubles(4 * span * ((count + 3) / 4), rng);
+        for (double& w : weights) {
+          if (rng.NextUint64(4) == 0) {
+            w = rng.NextUint64(2) == 0 ? 0.0 : -w * w;
+          }
+        }
+        const size_t lo = rng.NextUint64(1000);
+        for (bool mirrored : {false, true}) {
+          std::vector<double> y_best(count, -1.0), xy_best(count, -1.0);
+          std::vector<double> y_scalar(count, -2.0), xy_scalar(count, -2.0);
+          best.loess_edge_dot(weights.data(), span, count, mirrored, y.data(), lo,
+                              y_best.data(), xy_best.data());
+          scalar.loess_edge_dot(weights.data(), span, count, mirrored, y.data(), lo,
+                                y_scalar.data(), xy_scalar.data());
+          for (size_t o = 0; o < count; ++o) {
+            EXPECT_TRUE(ContractEqual(y_best[o], y_scalar[o]))
+                << "loess_edge_dot swy diverges at o=" << o << " count=" << count
+                << " span=" << span << " mirrored=" << mirrored;
+            EXPECT_TRUE(ContractEqual(xy_best[o], xy_scalar[o]))
+                << "loess_edge_dot swxy diverges at o=" << o << " count=" << count
+                << " span=" << span << " mirrored=" << mirrored;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, FftButterfliesMatchScalarAtEveryStage) {
+  Rng rng(112);
+  const simd::Kernels& best = simd::BestAvailable();
+  const simd::Kernels& scalar = simd::Scalar();
+  for (size_t n = 2; n <= 4096; n *= 2) {
+    for (size_t half = 1; half < n; half *= 2) {
+      for (int trial = 0; trial < 2; ++trial) {
+        const std::vector<double> re =
+            trial == 0 ? FiniteDoubles(n, rng) : AdversarialDoubles(n, rng);
+        const std::vector<double> im = FiniteDoubles(n, rng);
+        const std::vector<double> wr = FiniteDoubles(half, rng);
+        const std::vector<double> wi =
+            trial == 0 ? FiniteDoubles(half, rng) : AdversarialDoubles(half, rng);
+        std::vector<double> re_best = re, im_best = im;
+        std::vector<double> re_scalar = re, im_scalar = im;
+        best.fft_butterflies(re_best.data(), im_best.data(), n, half, wr.data(), wi.data());
+        scalar.fft_butterflies(re_scalar.data(), im_scalar.data(), n, half, wr.data(),
+                               wi.data());
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_TRUE(ContractEqual(re_best[i], re_scalar[i]) &&
+                      ContractEqual(im_best[i], im_scalar[i]))
+              << "fft_butterflies diverges at i=" << i << " n=" << n << " half=" << half
+              << " trial=" << trial;
         }
       }
     }
