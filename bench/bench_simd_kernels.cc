@@ -19,6 +19,15 @@
 //   fft       — every fft_butterflies stage of a 2048-point transform (the
 //               padded ACF size of a 612-point window), per element-stage
 //
+// A last table prices the long-term screen (DESIGN §13), which is plain
+// scalar code and so has no oracle column: at the fallback period 30 and the
+// daily period 144 of a 612-point window, one STL (what a screened series
+// saves), one table entry's build (paid once per shape), and the screen's
+// decision on one series. Its identity check is the detector's: the
+// screened and unscreened Detect agree, and the bench series is screened.
+// It lands in the "long_term_screen" section of BENCH_simd.json, with no
+// speed gate.
+//
 // Every kernel is first checked bit-identical against the scalar oracle on
 // the bench inputs, then timed (min of repetitions, fixed element count).
 // Results land in the "kernels" section of BENCH_simd.json. Off --smoke,
@@ -37,6 +46,10 @@
 #include "src/common/check.h"
 #include "src/common/random.h"
 #include "src/common/simd.h"
+#include "src/core/long_term.h"
+#include "src/core/series_decomposition.h"
+#include "src/observe/telemetry.h"
+#include "src/tsa/stl.h"
 #include "src/tsdb/gorilla.h"
 
 namespace fbdetect {
@@ -491,6 +504,81 @@ int main(int argc, char** argv) {
   }
   json += "]}";
   UpdateBenchSimdJson("kernels", json);
+
+  // --- long-term screen: STL per series, entry build per key, screen per
+  // series ---------------------------------------------------------------
+  {
+    const size_t historical = 576;
+    const size_t analysis = 24;
+    const size_t n = historical + analysis + 12;
+    std::vector<TimePoint> timestamps;
+    for (size_t i = historical; i < n; ++i) {
+      timestamps.push_back(static_cast<TimePoint>(i) * Minutes(10));
+    }
+    DetectionConfig config;
+    config.threshold = 0.5;  // Far above the bench series' delta: screened.
+    const LongTermDetector detector(config);
+    const MetricId id{"svc", MetricKind::kGcpu, "sub/f", {}};
+    std::printf("\n%-8s %12s %16s %10s %18s\n", "period", "stl us", "entry build us",
+                "build/stl", "screen us/series");
+    std::string screen_json = "{\"n\": 612, \"entries\": [";
+    const int screen_iters = smoke ? 3 : 20;
+    for (const size_t period : {size_t{30}, size_t{144}}) {
+      std::vector<double> values(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = 1.0 + 0.2 * std::sin(2.0 * M_PI * static_cast<double>(i % period) /
+                                         static_cast<double>(period)) +
+                    rng.Normal(0.0, 0.01);
+      }
+      ScanView view;
+      view.full = values;
+      view.historical_size = historical;
+      view.analysis_size = analysis;
+      view.extended_size = n - historical - analysis;
+      view.analysis_timestamps = timestamps;
+      view.analysis_begin = timestamps.front();
+      view.as_of = timestamps.back();
+      // Identity: the detector decides the same with and without the screen,
+      // and the screen decides this series.
+      LongTermScreen screen;
+      SeriesDecomposition plain(view.full);
+      const bool plain_found = detector.Detect(id, view, plain).has_value();
+      SeriesDecomposition screened_shared(view.full);
+      bool screened = false;
+      const bool screened_found =
+          detector.Detect(id, view, screened_shared, {}, &screen, &screened).has_value();
+      FBD_CHECK(!plain_found && !screened_found && screened);
+      const size_t used_period = plain.Season(config.seasonality_min_correlation).present
+                                     ? plain.Season(config.seasonality_min_correlation).period
+                                     : n / 20;
+      const double stl_ns = BestNsPerElement(1, kReps, screen_iters, [&] {
+        g_sink = StlDecompose(values, used_period).trend[0];
+      });
+      const LongTermScreen::Key key{n, used_period, historical, analysis};
+      const double build_ns = BestNsPerElement(1, kReps, screen_iters, [&] {
+        g_sink = LongTermScreen::Build(key).epsilon;
+      });
+      // The screen's own time, from its timer, with its entry cached and the
+      // seasonality estimate computed once.
+      Histogram timer;
+      for (int i = 0; i < screen_iters * kReps; ++i) {
+        detector.Detect(id, view, screened_shared, {nullptr, nullptr, nullptr, &timer}, &screen);
+      }
+      const double screen_ns =
+          static_cast<double>(timer.sum()) / static_cast<double>(timer.count());
+      std::printf("%-8zu %12.1f %16.1f %9.1fx %18.2f\n", used_period, stl_ns / 1e3,
+                  build_ns / 1e3, build_ns / stl_ns, screen_ns / 1e3);
+      char buffer[200];
+      std::snprintf(buffer, sizeof(buffer),
+                    "%s{\"period\": %zu, \"stl_us\": %.1f, \"entry_build_us\": %.1f, "
+                    "\"screen_us_per_series\": %.2f}",
+                    period == 30 ? "" : ", ", used_period, stl_ns / 1e3, build_ns / 1e3,
+                    screen_ns / 1e3);
+      screen_json += buffer;
+    }
+    screen_json += "]}";
+    UpdateBenchSimdJson("long_term_screen", screen_json);
+  }
 
   // Acceptance bar: each family's dominant kernel >= 2x its oracle, single
   // thread, when a vector ISA is live. Smoke runs (shared CI machines, tiny

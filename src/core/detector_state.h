@@ -50,6 +50,7 @@ struct SeriesScanEvents {
   uint16_t threshold_out = 0;
   uint16_t long_term_in = 0;
   uint16_t long_term_out = 0;
+  uint16_t long_term_screened = 0;
 };
 
 // Cached outcome of evaluating one series at one re-run. The cache key is

@@ -165,6 +165,8 @@ void Pipeline::RegisterInstruments() {
   obs_.long_term_acf_ns = telemetry_.GetHistogram("pipeline.stage.long_term.acf.wall_ns");
   obs_.long_term_stl_ns = telemetry_.GetHistogram("pipeline.stage.long_term.stl.wall_ns");
   obs_.long_term_trend_ns = telemetry_.GetHistogram("pipeline.stage.long_term.trend.wall_ns");
+  obs_.long_term_screen_ns = telemetry_.GetHistogram("pipeline.stage.long_term.screen.wall_ns");
+  obs_.long_term_screened = counter(kCounterLongTermScreened);
 
   obs_.scan_wall_ns = telemetry_.GetHistogram("pipeline.scan.wall_ns");
   obs_.run_wall_ns = telemetry_.GetHistogram("pipeline.run.wall_ns");
@@ -173,6 +175,8 @@ void Pipeline::RegisterInstruments() {
   obs_.pool_tasks = runtime("pool.tasks");
   obs_.pool_max_batch_tasks = runtime("pool.max_batch_tasks");
   obs_.pool_wall_ns = runtime("pool.wall_ns");
+  obs_.screen_table_entries = runtime("pipeline.stage.long_term.screen.table_entries");
+  obs_.screen_table_bytes = runtime("pipeline.stage.long_term.screen.table_bytes");
 
   obs_.tsdb_tail_hits = counter("tsdb.scan.tail_hits");
   obs_.tsdb_sealed_decodes = counter("tsdb.scan.sealed_decodes");
@@ -230,6 +234,14 @@ void Pipeline::SyncTelemetry() {
   obs_.pool_tasks->Set(pool.tasks);
   obs_.pool_max_batch_tasks->Set(pool.max_batch_tasks);
   obs_.pool_wall_ns->Set(pool.wall_ns);
+  size_t screen_entries = 0;
+  size_t screen_bytes = 0;
+  for (const auto& [service, screen] : long_term_screens_) {
+    screen_entries += screen.entries();
+    screen_bytes += screen.bytes();
+  }
+  obs_.screen_table_entries->Set(screen_entries);
+  obs_.screen_table_bytes->Set(screen_bytes);
   if (obs_.durable) {
     const TimeSeriesDatabase::DurableStats durable = db_->durable_stats();
     obs_.durable_group_commits->Set(durable.group_commits);
@@ -415,6 +427,7 @@ void Pipeline::ApplyScanEvents(const SeriesScanEvents& events) const {
   obs_.threshold.out->Add(events.threshold_out);
   obs_.long_term.in->Add(events.long_term_in);
   obs_.long_term.out->Add(events.long_term_out);
+  obs_.long_term_screened->Add(events.long_term_screened);
 }
 
 void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
@@ -545,13 +558,16 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     if (options_.detection.enable_long_term) {
       ++events.long_term_in;
       std::optional<Regression> long_candidate;
+      bool screened = false;
       {
         StageTimer timer(Timed(obs_.long_term.wall_ns));
         long_candidate = long_term_.Detect(
             id, view, decomposition,
             {Timed(obs_.long_term_acf_ns), Timed(obs_.long_term_stl_ns),
-             Timed(obs_.long_term_trend_ns)});
+             Timed(obs_.long_term_trend_ns), Timed(obs_.long_term_screen_ns)},
+            long_term_screen_, &screened);
       }
+      events.long_term_screened += screened ? 1 : 0;
       if (long_candidate) {
         ++long_funnel.change_points;
         // The long-term detector applies the threshold internally; recheck for
@@ -721,6 +737,8 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
   std::vector<Regression> survivors;
   {
     StageTimer timer(Timed(obs_.scan_wall_ns));
+    long_term_screen_ = &long_term_screens_[service];
+    long_term_screen_->BeginRun();
     survivors = ScanAllMetrics(service, as_of);
   }
 

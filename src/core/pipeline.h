@@ -202,11 +202,14 @@ class Pipeline {
     Counter* reported = nullptr;
     StageInstruments change_point, went_away, seasonality, threshold, long_term,
         fingerprint, same_merger, som_dedup, cost_shift, pairwise, root_cause;
-    // long_term's ACF / STL / trend-test sub-steps, per series. The shared
-    // decomposition only lands in acf/stl when long_term computes it.
+    // long_term's ACF / STL / trend-test / screen sub-steps, per series. The
+    // shared decomposition only lands in acf/stl when long_term computes it.
     Histogram* long_term_acf_ns = nullptr;
     Histogram* long_term_stl_ns = nullptr;
     Histogram* long_term_trend_ns = nullptr;
+    Histogram* long_term_screen_ns = nullptr;
+    // Series the long-term screen rejected without an STL (DESIGN §13).
+    Counter* long_term_screened = nullptr;
     Histogram* scan_wall_ns = nullptr;  // Whole ScanAllMetrics, per run.
     Histogram* run_wall_ns = nullptr;   // Whole RunAt, per run.
     // Runtime mirrors, Set() from the pool/TSDB sources at SyncTelemetry.
@@ -214,6 +217,9 @@ class Pipeline {
     Counter* pool_tasks = nullptr;
     Counter* pool_max_batch_tasks = nullptr;
     Counter* pool_wall_ns = nullptr;
+    // Size of the long-term screen's tables, over every service.
+    Counter* screen_table_entries = nullptr;
+    Counter* screen_table_bytes = nullptr;
     // Deterministic mirrors of the database's tier accounting (one lookup per
     // series per re-run regardless of scan_threads).
     Counter* tsdb_tail_hits = nullptr;
@@ -349,6 +355,12 @@ class Pipeline {
   WentAwayDetector went_away_;
   SeasonalityStage seasonality_;
   LongTermDetector long_term_;
+  // The long-term screen's functionals (DESIGN §13), one table per scanned
+  // service and rotated at that service's scanning runs: a service's shapes
+  // recur on its own runs, and a run of another service in between must not
+  // drop them. The scan workers share the running service's table.
+  std::map<std::string, LongTermScreen> long_term_screens_;
+  LongTermScreen* long_term_screen_ = nullptr;
   SameRegressionMerger merger_;
   Sanitizer sanitizer_;
   SomDedup som_dedup_;

@@ -16,7 +16,7 @@ const SeasonalityEstimate& SeriesDecomposition::Season(double min_correlation,
 const Decomposition& SeriesDecomposition::Stl(size_t period, Histogram* timer) {
   if (stl_period_ != period) {
     StageTimer timed(timer);
-    stl_ = StlDecompose(full_, period);
+    stl_ = StlDecompose(full_, period, kSeriesStlConfig);
     stl_period_ = period;
   }
   return stl_;

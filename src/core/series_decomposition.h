@@ -15,6 +15,10 @@
 
 namespace fbdetect {
 
+// The STL both stages decompose with, and the one the long-term screen's
+// adjoint is built for (DESIGN §13): plain STL, linear in the series.
+inline constexpr StlConfig kSeriesStlConfig{};
+
 class SeriesDecomposition {
  public:
   // `full` must outlive this object (it is the scanned view's series).
@@ -25,8 +29,12 @@ class SeriesDecomposition {
   // `timer` records the computation when this call performs it.
   const SeasonalityEstimate& Season(double min_correlation, Histogram* timer = nullptr);
 
-  // StlDecompose(full, period), computed on the first call for `period`.
+  // StlDecompose(full, period, kSeriesStlConfig), computed on the first
+  // call for `period`.
   const Decomposition& Stl(size_t period, Histogram* timer = nullptr);
+
+  // Whether Stl(period) is already computed.
+  bool HasStl(size_t period) const { return stl_period_ == period; }
 
  private:
   std::span<const double> full_;

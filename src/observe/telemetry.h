@@ -53,6 +53,9 @@ inline constexpr const char kCounterRunShortCircuits[] =
     "pipeline.run.short_circuits";
 inline constexpr const char kCounterListCacheShardRefreshes[] =
     "tsdb.scan.list_cache_shard_refreshes";
+// Long-term series whose STL the screen proved unnecessary (DESIGN §13).
+inline constexpr const char kCounterLongTermScreened[] =
+    "pipeline.stage.long_term.screened";
 
 // A monotonic event counter. Add is wait-free (relaxed fetch_add); Set exists
 // only for export-time mirroring of externally maintained stats (TSDB shard

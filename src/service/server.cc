@@ -94,6 +94,7 @@ ServiceServer::ServiceServer(TimeSeriesDatabase* db, Pipeline* pipeline,
   tm_commits_ = runtime("service.commits");
   tm_queue_points_ = runtime("service.queued_points");
   tm_ingest_latency_ns_ = registry.GetHistogram("service.ingest_latency_ns");
+  tm_long_term_screened_ = registry.GetCounter(kCounterLongTermScreened);
 }
 
 ServiceServer::~ServiceServer() {
@@ -864,6 +865,7 @@ ServiceServer::Stats ServiceServer::stats() const {
   s.seals = seals_.load(std::memory_order_relaxed);
   s.parse_queue_peak_points = parse_queue_.max_cost_observed();
   s.ingest_queue_peak_points = ingest_queue_.max_cost_observed();
+  s.long_term_screened = tm_long_term_screened_->value();
   return s;
 }
 
@@ -904,7 +906,8 @@ std::string ServiceServer::StatsJson() const {
   field("parse_queue_points", parse_queue_.cost());
   field("ingest_queue_points", ingest_queue_.cost());
   field("parse_queue_peak_points", s.parse_queue_peak_points);
-  field("ingest_queue_peak_points", s.ingest_queue_peak_points, /*last=*/true);
+  field("ingest_queue_peak_points", s.ingest_queue_peak_points);
+  field("long_term_screened", s.long_term_screened, /*last=*/true);
   out += "}";
   return out;
 }

@@ -126,6 +126,9 @@ class ServiceServer {
     uint64_t seals = 0;               // Checkpoints (incl. drain's).
     uint64_t parse_queue_peak_points = 0;
     uint64_t ingest_queue_peak_points = 0;
+    // Long-term series whose STL the screen skipped (the pipeline's
+    // pipeline.stage.long_term.screened counter; DESIGN §13).
+    uint64_t long_term_screened = 0;
     uint64_t shed() const { return shed_admission + shed_backpressure + shed_drain; }
   };
   Stats stats() const;
@@ -260,6 +263,7 @@ class ServiceServer {
   Counter* tm_commits_ = nullptr;
   Counter* tm_queue_points_ = nullptr;
   Histogram* tm_ingest_latency_ns_ = nullptr;
+  const Counter* tm_long_term_screened_ = nullptr;  // Owned by the pipeline.
 };
 
 }  // namespace fbdetect

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
@@ -63,6 +65,50 @@ double RobustFitAt(std::span<const double> values, std::span<const double> robus
     sums[4] += w * x * values[j];
   }
   return FinishFit(sums, static_cast<double>(i), values[i]);
+}
+
+// FinishFit for fixed constant sums, as a linear map of the two y-dependent
+// sums: out = cy * swy + cxy * swxy, or out = y_i when `identity`.
+struct FitMap {
+  bool identity = false;
+  bool degenerate = false;
+  double denom = 0.0;
+  double lever = 0.0;  // x_i - swx / sw: d out / d slope.
+  double cy = 0.0;
+  double cxy = 0.0;
+};
+
+FitMap EdgeFitMap(const double* sums, double x_i) {
+  const double sw = sums[0];
+  const double swx = sums[1];
+  const double swxx = sums[2];
+  FitMap map;
+  if (sw <= 0.0) {
+    map.identity = true;
+    return map;
+  }
+  map.denom = sw * swxx - swx * swx;
+  if (std::fabs(map.denom) < 1e-12 * sw * swxx + 1e-300) {
+    map.degenerate = true;
+    map.cy = 1.0 / sw;
+    return map;
+  }
+  // out = slope * x_i + (swy - slope * swx) / sw with
+  // slope = (sw * swxy - swx * swy) / denom.
+  map.lever = x_i - swx / sw;
+  map.cy = 1.0 / sw - map.lever * (swx / map.denom);
+  map.cxy = map.lever * (sw / map.denom);
+  return map;
+}
+
+// The interior fit as a linear map of its two window sums,
+// smoothed = swy * ca + swky * cb, returned as {ca, cb}. Not for a degenerate
+// kernel with sw <= 0, whose output is the input point.
+std::pair<double, double> InteriorMap(bool degenerate, double sw, double swk, double denom) {
+  if (degenerate) {
+    return {1.0 / sw, 0.0};
+  }
+  return {1.0 / sw + (swk / sw) * (swk / denom), -(swk / denom)};
 }
 
 // Edge weights a plan holds at once: 2 MiB, every edge fit up to span 724
@@ -201,6 +247,194 @@ void LoessPlan::Apply(std::span<const double> values, std::span<double> out) {
       out[i] = FinishFit(sums, static_cast<double>(i), values[i]);
     }
   }
+}
+
+template <typename Fn>
+void LoessPlan::ForEachEdgeFit(Fn fn) {
+  const size_t lo = n_ - span_;
+  for (size_t first = 0; first < left_; first += chunk_) {
+    const size_t count = std::min(chunk_, left_ - first);
+    const size_t right_count = first < right_ ? std::min(chunk_, right_ - first) : 0;
+    if (chunk_ < left_) {
+      simd::Active().loess_edge_weights(span_, first, count, edge_weights_.data());
+    }
+    for (size_t o = 0; o < count; ++o) {
+      const double* column = edge_weights_.data() + 4 * span_ * (o / 4) + o % 4;
+      const size_t i = first + o;
+      const double sums[3] = {left_sums_[0][i], left_sums_[1][i], left_sums_[2][i]};
+      fn(i, size_t{0}, [column](size_t t) { return column[4 * t]; }, sums);
+    }
+    for (size_t o = 0; o < right_count; ++o) {
+      const double* column = edge_weights_.data() + 4 * span_ * (o / 4) + o % 4;
+      const size_t r = first + o;
+      const double sums[3] = {right_sums_[0][r], right_sums_[1][r], right_sums_[2][r]};
+      const size_t last = span_ - 1;
+      fn(n_ - 1 - r, lo, [column, last](size_t t) { return column[4 * (last - t)]; }, sums);
+    }
+  }
+}
+
+void LoessPlan::ApplyTranspose(std::span<const double> values, std::span<double> out) {
+  constexpr size_t kLanes = kTransposeLanes;
+  FBD_CHECK(values.size() == n_ * kLanes && out.size() == n_ * kLanes);
+  std::fill(out.begin(), out.end(), 0.0);
+  if (n_ < 2) {
+    std::copy(values.begin(), values.end(), out.begin());
+    return;
+  }
+  if (interior_ > 0) {
+    // Output first + o reads values[o, o + span) with the coefficients
+    // h[k] = kernel[k] * ca + kernel_k[k] * cb (smoothed = swy * ca + swky * cb),
+    // so point j collects h[j - o] * g[first + o] over the windows holding it.
+    const size_t first = span_ / 2;
+    if (degenerate_ && sw_ <= 0.0) {
+      std::copy_n(values.begin() + static_cast<ptrdiff_t>(first * kLanes), interior_ * kLanes,
+                  out.begin() + static_cast<ptrdiff_t>(first * kLanes));
+    } else {
+      const auto [ca, cb] = InteriorMap(degenerate_, sw_, swk_, denom_);
+      ArenaScope scope(Arena::ThreadLocal());
+      const std::span<double> h = scope.MakeUninitializedSpan<double>(span_);
+      for (size_t k = 0; k < span_; ++k) {
+        h[k] = kernel_[k] * ca + kernel_k_[k] * cb;
+      }
+      const double* g = values.data() + first * kLanes;
+      for (size_t j = 0; j < n_; ++j) {
+        const size_t o_begin = j + 1 >= span_ ? j + 1 - span_ : 0;
+        const size_t o_end = std::min(j + 1, interior_);
+        double sum[kLanes] = {};
+        for (size_t o = o_begin; o < o_end; ++o) {
+          const double c = h[j - o];
+          for (size_t l = 0; l < kLanes; ++l) {
+            sum[l] += c * g[o * kLanes + l];
+          }
+        }
+        for (size_t l = 0; l < kLanes; ++l) {
+          out[j * kLanes + l] = sum[l];
+        }
+      }
+    }
+  }
+  ForEachEdgeFit([&](size_t i, size_t lo, auto weight, const double* sums) {
+    const FitMap map = EdgeFitMap(sums, static_cast<double>(i));
+    const double* g = values.data() + i * kLanes;
+    if (map.identity) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        out[i * kLanes + l] += g[l];
+      }
+      return;
+    }
+    for (size_t t = 0; t < span_; ++t) {
+      const double w = weight(t);
+      if (w <= 0.0) {
+        continue;  // Apply skips the term.
+      }
+      const double c = w * map.cy + (w * static_cast<double>(lo + t)) * map.cxy;
+      double* target = out.data() + (lo + t) * kLanes;
+      for (size_t l = 0; l < kLanes; ++l) {
+        target[l] += c * g[l];
+      }
+    }
+  });
+}
+
+LoessPlan::Bounds LoessPlan::ComputeBounds() {
+  Bounds bounds;
+  if (n_ < 2) {
+    bounds.norm = n_ == 1 ? 1.0 : 0.0;
+    return bounds;
+  }
+  // Every path from an input to an output takes at most K roundings: in
+  // Apply, the window dot products (span products and adds, plus w * x) and
+  // at most 9 operations in FinishFit; in ApplyTranspose, at most 8 to form
+  // a fit's scattered term and one add per fit reading the point (at most
+  // 2 * span fits: every edge fit of one side and every interior window).
+  const size_t depth = 2 * span_ + 16;
+  const double gamma = RoundingGamma(depth);
+  const double u = 0x1p-53;
+  // One row: its rounding bound, and an upper bound on its true absolute
+  // sum from the computed coefficients (each within the transposed rounding
+  // of the exact one).
+  auto add_row = [&](double rounding, double coefficient_sum) {
+    bounds.rounding = std::max(bounds.rounding, rounding);
+    bounds.norm = std::max(bounds.norm, coefficient_sum * (1.0 + gamma) + rounding);
+  };
+  if (interior_ > 0) {
+    if (degenerate_ && sw_ <= 0.0) {
+      add_row(gamma, 1.0);
+    } else {
+      // The interior kernel is centered, so its absolute-value program (every
+      // constant by its magnitude, every subtraction an addition) stays near
+      // 1 and bounds both directions: gamma(K) times its row sum.
+      const auto [ca, cb] = InteriorMap(degenerate_, sw_, swk_, denom_);
+      const auto [abs_ca, minus_abs_cb] =
+          InteriorMap(degenerate_, sw_, std::fabs(swk_), std::fabs(denom_));
+      const double abs_cb = -minus_abs_cb;
+      double sum_w = 0.0;
+      double sum_abs_wk = 0.0;
+      double coefficient_sum = 0.0;
+      for (size_t k = 0; k < span_; ++k) {
+        sum_w += kernel_[k];
+        sum_abs_wk += std::fabs(kernel_k_[k]);
+        coefficient_sum += std::fabs(kernel_[k] * ca + kernel_k_[k] * cb);
+      }
+      add_row(gamma * (abs_ca * sum_w + abs_cb * sum_abs_wk), coefficient_sum);
+    }
+  }
+  ForEachEdgeFit([&](size_t i, size_t lo, auto weight, const double* sums) {
+    const FitMap map = EdgeFitMap(sums, static_cast<double>(i));
+    if (map.identity) {
+      add_row(gamma, 1.0);
+      return;
+    }
+    const double sw = sums[0];
+    const double swx = sums[1];
+    const double mean_x = swx / sw;
+    double sum_w = 0.0;        // Sw: sum of w.
+    double sum_wx = 0.0;       // Swx: sum of w * x (x >= 0).
+    double sum_spread = 0.0;   // Sum of w * |sw * x - swx|: bounds |slope numerator|.
+    double coefficient_sum = 0.0;
+    for (size_t t = 0; t < span_; ++t) {
+      const double w = weight(t);
+      if (w <= 0.0) {
+        continue;
+      }
+      const double x = static_cast<double>(lo + t);
+      const double wx = w * x;
+      sum_w += w;
+      sum_wx += wx;
+      sum_spread += w * std::fabs(sw * x - swx);
+      coefficient_sum += std::fabs(w * map.cy + wx * map.cxy);
+    }
+    if (map.degenerate) {
+      add_row(gamma * sum_w / sw, coefficient_sum);
+      return;
+    }
+    // DESIGN §13, edge fits. Per unit max|y|: the slope's numerator errs by
+    // at most gamma * (sw * Swx + |swx| * Sw) + u * |numerator|, so the
+    // computed slope is within `slope_error` of the exact one, and that
+    // error reaches the output times the lever |x_i - mean_x|. The remaining
+    // roundings are relative to |slope| * (x_i + mean_x) and Sw / sw. The
+    // transposed coefficients err through the computed lever (off by at most
+    // gamma * (x_i + mean_x)) and the same magnitudes.
+    const double x_i = static_cast<double>(i);
+    const double abs_denom = std::fabs(map.denom);
+    const double far = x_i + std::fabs(mean_x);
+    const double lever = std::fabs(map.lever) + gamma * far;
+    const double slope_error =
+        (gamma * (sw * sum_wx + std::fabs(swx) * sum_w) + 2.0 * u * sum_spread) / abs_denom;
+    const double slope = sum_spread / abs_denom + slope_error;
+    const double forward = slope_error * lever + 2.0 * gamma * (sum_w / sw + slope * far);
+    const double transposed =
+        gamma * far * sum_spread / abs_denom +
+        gamma * (sum_w / sw + lever * (std::fabs(swx) * sum_w + sw * sum_wx) / abs_denom);
+    add_row(std::max(forward, transposed), coefficient_sum);
+  });
+  return bounds;
+}
+
+double RoundingGamma(size_t k) {
+  const double ku = static_cast<double>(k) * 0x1p-53;
+  return ku < 1.0 ? ku / (1.0 - ku) : std::numeric_limits<double>::infinity();
 }
 
 void LoessSmoothInto(std::span<const double> values, size_t span,

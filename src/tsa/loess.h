@@ -25,14 +25,50 @@ namespace fbdetect {
 //
 // Storage comes from `scope`; the plan must not outlive it. Results are bit
 // for bit those of LoessSmooth.
+//
+// Apply is linear: its branches test only the plan's constants, never the
+// values, so in exact arithmetic it computes out = H * values for a fixed
+// n x n matrix H of the plan's stored weights and sums. ApplyTranspose and
+// ComputeBounds serve the long-term screen's adjoint (DESIGN §13); both are
+// plain scalar code.
 class LoessPlan {
  public:
+  // What the rounding analysis of DESIGN §13 needs to know about H.
+  struct Bounds {
+    // Upper bound on the largest absolute row sum of H (its infinity norm,
+    // and the 1-norm of its transpose).
+    double norm = 0.0;
+    // Each output of Apply is within rounding * max|values| of H * values,
+    // and ApplyTranspose's outputs are within rounding * sum|values| of
+    // H^T * values in sum of absolute differences.
+    double rounding = 0.0;
+  };
+
   LoessPlan(size_t n, size_t span, ArenaScope& scope);
 
   // Smooths `values` (size n) into `out` (size n, must not alias `values`).
   void Apply(std::span<const double> values, std::span<double> out);
 
+  // ApplyTranspose works on this many vectors at once, interleaved point by
+  // point: lane l of point i at kTransposeLanes * i + l.
+  static constexpr size_t kTransposeLanes = 4;
+
+  // out = H^T * values for each lane (kTransposeLanes * n values each, no
+  // aliasing): every output's coefficients, formed once for all lanes and
+  // applied to the points its fit reads. Each lane gets exactly the
+  // operations a single vector would.
+  void ApplyTranspose(std::span<const double> values, std::span<double> out);
+
+  // H's bounds, from the plan's constants: O(span^2) for the edge fits.
+  Bounds ComputeBounds();
+
  private:
+  // Calls fn(i, lo, weight(t), sums) for every clamped edge fit: output i
+  // fits the window [lo, lo + span) with weight(t) for point lo + t and the
+  // constant sums {sw, swx, swxx}. Rebuilds chunked weights as Apply does.
+  template <typename Fn>
+  void ForEachEdgeFit(Fn fn);
+
   size_t n_ = 0;
   size_t span_ = 0;
   size_t interior_ = 0;  // Outputs [span/2, span/2 + interior_) use the kernel.
@@ -61,6 +97,10 @@ class LoessPlan {
   std::span<double> edge_swy_;
   std::span<double> edge_swxy_;
 };
+
+// Higham's gamma_k = k u / (1 - k u) with u = 2^-53: the relative error
+// bound of k rounded operations in sequence. +inf once k u >= 1.
+double RoundingGamma(size_t k);
 
 // Smooths `values` with a loess window of `span` points (clamped to
 // [2, n]). Returns a series of the same length. An empty input returns an

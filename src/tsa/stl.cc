@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
@@ -14,10 +15,23 @@ namespace {
 // Next odd number >= x.
 size_t NextOdd(size_t x) { return x % 2 == 0 ? x + 1 : x; }
 
-// Centered moving average of width `width` (handles even widths with the
-// standard 2x(MA) trick by averaging two offset windows) into `out`, using
-// `prefix` (n + 1 doubles) for window sums: O(n) total instead of
-// O(n * width).
+// Window [lo, hi) of the centered moving average of width `width` at output
+// i of n (even widths use the standard 2x(MA) symmetric window).
+std::pair<size_t, size_t> MovingAverageWindow(size_t i, size_t n, size_t width) {
+  const size_t half = width / 2;
+  const size_t lo = i >= half ? i - half : 0;
+  size_t hi = std::min(n, i + half + 1);
+  if (width % 2 == 0) {
+    hi = std::min(n, i + half);  // Symmetric even window.
+    if (hi <= lo) {
+      hi = lo + 1;
+    }
+  }
+  return {lo, hi};
+}
+
+// Centered moving average of width `width` into `out`, using `prefix`
+// (n + 1 doubles) for window sums: O(n) total instead of O(n * width).
 void CenteredMovingAverage(std::span<const double> values, size_t width,
                            std::span<double> prefix, std::span<double> out) {
   const size_t n = values.size();
@@ -26,17 +40,87 @@ void CenteredMovingAverage(std::span<const double> values, size_t width,
     prefix[i + 1] = prefix[i] + values[i];
   }
   for (size_t i = 0; i < n; ++i) {
-    const size_t half = width / 2;
-    size_t lo = i >= half ? i - half : 0;
-    size_t hi = std::min(n, i + half + 1);
-    if (width % 2 == 0) {
-      hi = std::min(n, i + half);  // Symmetric even window.
-      if (hi <= lo) {
-        hi = lo + 1;
-      }
-    }
+    const auto [lo, hi] = MovingAverageWindow(i, n, width);
     out[i] = (prefix[hi] - prefix[lo]) / static_cast<double>(hi - lo);
   }
+}
+
+// The transpose of CenteredMovingAverage's linear map over n points, for
+// four vectors interleaved point by point: point j collects
+// values[i] / (hi_i - lo_i) from every output i whose window [lo_i, hi_i)
+// holds it. Both window ends never decrease with i, so those outputs are one
+// run [first, last) that slides with j. Each point sums its run directly:
+// prefix sums would round every point relative to the whole series.
+void CenteredMovingAverageTranspose(std::span<const double> values, size_t n, size_t width,
+                                    std::span<double> shares, std::span<double> out) {
+  constexpr size_t kLanes = LoessPlan::kTransposeLanes;
+  for (size_t i = 0; i < n; ++i) {
+    const auto [lo, hi] = MovingAverageWindow(i, n, width);
+    const double length = static_cast<double>(hi - lo);
+    for (size_t l = 0; l < kLanes; ++l) {
+      shares[i * kLanes + l] = values[i * kLanes + l] / length;
+    }
+  }
+  size_t first = 0;
+  size_t last = 0;
+  for (size_t j = 0; j < n; ++j) {
+    while (first < n && MovingAverageWindow(first, n, width).second <= j) {
+      ++first;
+    }
+    while (last < n && MovingAverageWindow(last, n, width).first <= j) {
+      ++last;
+    }
+    double sum[kLanes] = {};
+    for (size_t i = first; i < last; ++i) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        sum[l] += shares[i * kLanes + l];
+      }
+    }
+    for (size_t l = 0; l < kLanes; ++l) {
+      out[j * kLanes + l] = sum[l];
+    }
+  }
+}
+
+// The loess plans of one decomposition: trend, low-pass, and the two
+// cycle-subseries lengths ceil(n / period) and floor(n / period).
+struct StlPlans {
+  StlPlans(size_t n, size_t period, const StlConfig& config, ArenaScope& scope)
+      : trend_span(config.trend_span != 0 ? config.trend_span : NextOdd(period + period / 2)),
+        max_cycles((n + period - 1) / period),
+        trend(n, trend_span, scope),
+        lowpass(n, config.lowpass_span != 0 ? config.lowpass_span : NextOdd(period), scope),
+        cycle{LoessPlan(max_cycles, config.seasonal_span, scope),
+              LoessPlan(n / period, config.seasonal_span, scope)} {}
+
+  LoessPlan& Cycle(size_t cycles) { return cycle[cycles == max_cycles ? 0 : 1]; }
+
+  size_t trend_span;
+  size_t max_cycles;
+  LoessPlan trend;
+  LoessPlan lowpass;
+  LoessPlan cycle[2];
+};
+
+// Norm and error bounds of one intermediate of the trend computation,
+// relative to the input's size: the exact value's norm is at most `norm`
+// and the computed value is within `error` of it.
+struct Bound {
+  double norm = 0.0;
+  double error = 0.0;
+};
+
+// The computed A * x for an operator of norm at most `norm` whose own
+// rounding is at most `rounding` times the norm of its (computed) input.
+Bound Through(const Bound& x, double norm, double rounding) {
+  return {norm * x.norm, norm * x.error + rounding * (x.norm + x.error)};
+}
+
+// The computed x - z (or x + z): one rounding of the result.
+Bound Combine(const Bound& x, const Bound& z) {
+  const double norm = x.norm + z.norm;
+  const double error = x.error + z.error;
+  return {norm, error + 0x1p-53 * (norm + error)};
 }
 
 }  // namespace
@@ -60,10 +144,6 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
     return result;  // valid=false; everything stays in trend.
   }
 
-  const size_t trend_span =
-      config.trend_span != 0 ? config.trend_span : NextOdd(period + period / 2);
-  const size_t lowpass_span = config.lowpass_span != 0 ? config.lowpass_span : NextOdd(period);
-
   // Every intermediate lives in the thread's arena for the whole call: one
   // block serves all inner and outer iterations. So do the loess plans: the
   // unweighted smooths repeat on a handful of (length, span) pairs — trend,
@@ -84,10 +164,8 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
   const std::span<double> subweights = scope.MakeUninitializedSpan<double>(max_cycles);
   const std::span<double> smoothed = scope.MakeUninitializedSpan<double>(max_cycles);
   std::span<double> robustness;  // Empty = unweighted.
-  LoessPlan trend_plan(n, trend_span, scope);
-  LoessPlan lowpass_plan(n, lowpass_span, scope);
-  LoessPlan cycle_plans[2] = {LoessPlan(max_cycles, config.seasonal_span, scope),
-                              LoessPlan(n / period, config.seasonal_span, scope)};
+  StlPlans plans(n, period, config, scope);
+  const size_t trend_span = plans.trend_span;
 
   for (int outer = 0; outer < std::max(1, config.outer_iterations); ++outer) {
     for (int inner = 0; inner < std::max(1, config.inner_iterations); ++inner) {
@@ -106,8 +184,7 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
           }
         }
         if (robustness.empty()) {
-          cycle_plans[cycles == max_cycles ? 0 : 1].Apply(subseries.first(cycles),
-                                                           smoothed.first(cycles));
+          plans.Cycle(cycles).Apply(subseries.first(cycles), smoothed.first(cycles));
         } else {
           LoessSmoothInto(subseries.first(cycles), config.seasonal_span,
                           subweights.first(cycles), smoothed.first(cycles));
@@ -119,7 +196,7 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
       // Step 3: low-pass filter of the cycle-subseries (moving average of
       // width `period`, then loess) to extract leftover trend in it.
       CenteredMovingAverage(cycle, period, prefix, moving_average);
-      lowpass_plan.Apply(moving_average, lowpass);
+      plans.lowpass.Apply(moving_average, lowpass);
       // Step 4: seasonal = cycle - lowpass (centers the seasonal around 0).
       for (size_t i = 0; i < n; ++i) {
         seasonal[i] = cycle[i] - lowpass[i];
@@ -129,7 +206,7 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
         deseasonalized[i] = values[i] - seasonal[i];
       }
       if (robustness.empty()) {
-        trend_plan.Apply(deseasonalized, trend);
+        plans.trend.Apply(deseasonalized, trend);
       } else {
         LoessSmoothInto(deseasonalized, trend_span, robustness, trend);
       }
@@ -163,6 +240,122 @@ Decomposition StlDecompose(std::span<const double> values, size_t period,
   }
   result.valid = true;
   return result;
+}
+
+StlTrendBounds StlTrendAdjoint(size_t n, size_t period,
+                               std::span<const std::span<double>> vectors,
+                               const StlConfig& config) {
+  FBD_CHECK(config.outer_iterations <= 1);
+  FBD_CHECK(period >= 2 && n >= 2 * period);
+  ArenaScope scope(Arena::ThreadLocal());
+  StlPlans plans(n, period, config, scope);
+  const int inner_iterations = std::max(1, config.inner_iterations);
+
+  // The forward pass as StlDecompose computes it, one operator at a time:
+  //   trend <- Trend(y - (Cycle(y - trend) - Lowpass(MA(Cycle(y - trend)))))
+  // from trend = 0. Its transpose, for the adjoint u of the final trend:
+  //   v = Trend^T u,  w = Cycle^T (v - MA^T Lowpass^T v),  a += v - w,
+  //   u <- w  (the adjoint of the previous pass's trend),
+  // once per pass, last pass first.
+  const LoessPlan::Bounds trend_bounds = plans.trend.ComputeBounds();
+  const LoessPlan::Bounds lowpass_bounds = plans.lowpass.ComputeBounds();
+  const LoessPlan::Bounds cycle_bounds[2] = {plans.cycle[0].ComputeBounds(),
+                                             plans.cycle[1].ComputeBounds()};
+  const double cycle_norm = std::max(cycle_bounds[0].norm, cycle_bounds[1].norm);
+  const double cycle_rounding = std::max(cycle_bounds[0].rounding, cycle_bounds[1].rounding);
+  // The moving average has norm 1. Forward, its prefix sums round relative
+  // to everything before the window: output i errs by at most
+  // gamma(n + 2) * (hi + lo) / (hi - lo) * max|x|. Transposed, each point
+  // adds at most period + 1 shares.
+  double prefix_ratio = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto [lo, hi] = MovingAverageWindow(i, n, period);
+    prefix_ratio =
+        std::max(prefix_ratio, static_cast<double>(hi + lo) / static_cast<double>(hi - lo));
+  }
+  const double average_rounding = RoundingGamma(n + 2) * prefix_ratio;
+  const double average_transpose_rounding = RoundingGamma(period + 2);
+
+  const Bound input{1.0, 0.0};
+  Bound trend;
+  Bound adjoint = input;
+  Bound result;
+  for (int inner = 0; inner < inner_iterations; ++inner) {
+    const Bound cycle = Through(Combine(input, trend), cycle_norm, cycle_rounding);
+    const Bound lowpass = Through(Through(cycle, 1.0, average_rounding), lowpass_bounds.norm,
+                                  lowpass_bounds.rounding);
+    trend = Through(Combine(input, Combine(cycle, lowpass)), trend_bounds.norm,
+                    trend_bounds.rounding);
+
+    const Bound v = Through(adjoint, trend_bounds.norm, trend_bounds.rounding);
+    const Bound averaged = Through(Through(v, lowpass_bounds.norm, lowpass_bounds.rounding), 1.0,
+                                   average_transpose_rounding);
+    const Bound w = Through(Combine(v, averaged), cycle_norm, cycle_rounding);
+    result = Combine(result, Combine(v, w));
+    adjoint = w;
+  }
+  StlTrendBounds bounds;
+  bounds.norm = std::min(trend.norm, result.norm);
+  bounds.trend_error = trend.error;
+  bounds.adjoint_error = result.error;
+
+  // Four vectors at a time, interleaved point by point (lane l of point i
+  // at 4 * i + l), so every coefficient is formed once per four vectors.
+  // Each lane sees exactly the operations one vector alone would.
+  constexpr size_t kLanes = LoessPlan::kTransposeLanes;
+  const std::span<double> u = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const std::span<double> v = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const std::span<double> scratch = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const std::span<double> w = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const std::span<double> functional = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const std::span<double> shares = scope.MakeUninitializedSpan<double>(n * kLanes);
+  const size_t max_subseries = plans.max_cycles * kLanes;
+  const std::span<double> subseries = scope.MakeUninitializedSpan<double>(max_subseries);
+  const std::span<double> smoothed = scope.MakeUninitializedSpan<double>(max_subseries);
+  for (size_t group = 0; group < vectors.size(); group += kLanes) {
+    const size_t lanes = std::min(kLanes, vectors.size() - group);
+    std::fill(u.begin(), u.end(), 0.0);
+    std::fill(functional.begin(), functional.end(), 0.0);
+    for (size_t l = 0; l < lanes; ++l) {
+      const std::span<double> vector = vectors[group + l];
+      FBD_CHECK(vector.size() == n);
+      for (size_t i = 0; i < n; ++i) {
+        u[i * kLanes + l] = vector[i];
+      }
+    }
+    for (int inner = 0; inner < inner_iterations; ++inner) {
+      plans.trend.ApplyTranspose(u, v);
+      plans.lowpass.ApplyTranspose(v, scratch);
+      CenteredMovingAverageTranspose(scratch, n, period, shares, w);
+      for (size_t i = 0; i < n * kLanes; ++i) {
+        scratch[i] = v[i] - w[i];
+      }
+      for (size_t phase = 0; phase < period; ++phase) {
+        const size_t cycles = (n - phase + period - 1) / period;
+        for (size_t k = 0; k < cycles; ++k) {
+          std::copy_n(scratch.begin() + static_cast<ptrdiff_t>((phase + k * period) * kLanes),
+                      kLanes, subseries.begin() + static_cast<ptrdiff_t>(k * kLanes));
+        }
+        plans.Cycle(cycles).ApplyTranspose(subseries.first(cycles * kLanes),
+                                           smoothed.first(cycles * kLanes));
+        for (size_t k = 0; k < cycles; ++k) {
+          std::copy_n(smoothed.begin() + static_cast<ptrdiff_t>(k * kLanes), kLanes,
+                      w.begin() + static_cast<ptrdiff_t>((phase + k * period) * kLanes));
+        }
+      }
+      for (size_t i = 0; i < n * kLanes; ++i) {
+        functional[i] += v[i] - w[i];
+      }
+      std::copy(w.begin(), w.end(), u.begin());
+    }
+    for (size_t l = 0; l < lanes; ++l) {
+      const std::span<double> vector = vectors[group + l];
+      for (size_t i = 0; i < n; ++i) {
+        vector[i] = functional[i * kLanes + l];
+      }
+    }
+  }
+  return bounds;
 }
 
 Decomposition MovingAverageDecompose(std::span<const double> values, size_t period) {

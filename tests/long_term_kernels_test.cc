@@ -6,7 +6,10 @@
 // follow the DESIGN.md §13 carve-out: a NaN equals any NaN.
 //
 // Also checks that SeasonalityStage and LongTermDetector fed one shared
-// SeriesDecomposition decide exactly as they do on their own.
+// SeriesDecomposition decide exactly as they do on their own, and that the
+// transposes behind the long-term screen (LoessPlan::ApplyTranspose,
+// StlTrendAdjoint) are the adjoints of Apply and of StlDecompose's trend
+// within the rounding bounds DESIGN §13 derives.
 
 #include <algorithm>
 #include <bit>
@@ -600,6 +603,165 @@ TEST(LongTermKernelsTest, StlMatchesFrozenAtEveryDetectablePeriod) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Transposes: LoessPlan::ApplyTranspose and StlTrendAdjoint.
+// ---------------------------------------------------------------------------
+
+double SumAbs(std::span<const double> values) {
+  double sum = 0.0;
+  for (double v : values) {
+    sum += std::fabs(v);
+  }
+  return sum;
+}
+
+double MaxAbs(std::span<const double> values) {
+  double max = 0.0;
+  for (double v : values) {
+    max = std::max(max, std::fabs(v));
+  }
+  return max;
+}
+
+double Dot(std::span<const double> a, std::span<const double> b) {
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    sum += a[i] * b[i];
+  }
+  return sum;
+}
+
+// The dense matrix of Apply (column j = Apply(e_j)) against ApplyTranspose:
+// H^T v from the dense matrix and from the transpose agree, in every lane,
+// within the rounding of both, and the plan's norm bound covers every row of
+// the dense matrix.
+TEST(LongTermKernelsTest, LoessApplyTransposeMatchesDenseHatMatrix) {
+  Rng rng(31);
+  for (size_t n = 1; n <= 40; ++n) {
+    for (size_t span = 2; span <= n + 2; ++span) {
+      ArenaScope scope(Arena::ThreadLocal());
+      LoessPlan plan(n, span, scope);
+      const LoessPlan::Bounds bounds = plan.ComputeBounds();
+      std::vector<std::vector<double>> columns(n, std::vector<double>(n));
+      std::vector<double> unit(n, 0.0);
+      for (size_t j = 0; j < n; ++j) {
+        unit[j] = 1.0;
+        plan.Apply(unit, columns[j]);
+        unit[j] = 0.0;
+      }
+      double dense_norm = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        double row = 0.0;
+        for (size_t j = 0; j < n; ++j) {
+          row += std::fabs(columns[j][i]);
+        }
+        dense_norm = std::max(dense_norm, row);
+      }
+      const std::string what = "n=" + std::to_string(n) + " span=" + std::to_string(span);
+      EXPECT_LE(dense_norm, bounds.norm + static_cast<double>(n) * bounds.rounding) << what;
+      // Four random vectors, one per lane.
+      constexpr size_t kLanes = LoessPlan::kTransposeLanes;
+      std::vector<double> lanes(n * kLanes);
+      for (double& x : lanes) {
+        x = rng.Uniform(-10.0, 10.0);
+      }
+      std::vector<double> transposed(n * kLanes, -7.0);
+      plan.ApplyTranspose(lanes, transposed);
+      for (size_t l = 0; l < kLanes; ++l) {
+        std::vector<double> v(n);
+        for (size_t i = 0; i < n; ++i) {
+          v[i] = lanes[i * kLanes + l];
+        }
+        double error = 0.0;
+        for (size_t j = 0; j < n; ++j) {
+          error += std::fabs(transposed[j * kLanes + l] - Dot(columns[j], v));
+        }
+        // The transpose's rounding, each dense column's (one Apply per
+        // column), and the dense product's.
+        const double tolerance = (static_cast<double>(n + 1) * bounds.rounding +
+                                  RoundingGamma(n) * bounds.norm) *
+                                 SumAbs(v);
+        EXPECT_LE(error, tolerance) << what << " lane=" << l;
+      }
+    }
+  }
+}
+
+// <StlTrendAdjoint(u), y> against <u, StlDecompose(y).trend>, within the
+// returned bounds plus both dot products' rounding, for a random u and a box
+// mean like the long-term test's, on random, constant and linear series.
+void ExpectAdjointIdentity(size_t n, size_t period, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> series(3, std::vector<double>(n));
+  for (size_t i = 0; i < n; ++i) {
+    series[0][i] = rng.Uniform(-50.0, 50.0);
+    series[1][i] = 3.25;
+    series[2][i] = 0.5 + 0.01 * static_cast<double>(i);
+  }
+  std::vector<double> random_u(n);
+  for (double& x : random_u) {
+    x = rng.Uniform(-1.0, 1.0);
+  }
+  std::vector<double> box_u(n, 0.0);
+  const size_t box = std::max<size_t>(1, n / 10);
+  for (size_t i = n - box; i < n; ++i) {
+    box_u[i] = 1.0 / static_cast<double>(box);
+  }
+  const std::vector<std::vector<double>> us = {random_u, box_u};
+  std::vector<std::vector<double>> functionals = us;
+  const std::span<double> spans[2] = {functionals[0], functionals[1]};
+  const StlTrendBounds bounds = StlTrendAdjoint(n, period, spans);
+  ASSERT_TRUE(std::isfinite(bounds.norm) && std::isfinite(bounds.trend_error) &&
+              std::isfinite(bounds.adjoint_error));
+  const double dot_gamma = RoundingGamma(n);
+  for (const std::vector<double>& y : series) {
+    const Decomposition stl = StlDecompose(y, period);
+    ASSERT_TRUE(stl.valid);
+    for (size_t k = 0; k < us.size(); ++k) {
+      const double via_adjoint = Dot(functionals[k], y);
+      const double via_trend = Dot(us[k], stl.trend);
+      const double bound = (bounds.trend_error + bounds.adjoint_error +
+                            dot_gamma * (2.0 * bounds.norm + bounds.trend_error +
+                                         bounds.adjoint_error)) *
+                           SumAbs(us[k]) * MaxAbs(y);
+      EXPECT_LE(std::fabs(via_adjoint - via_trend), bound)
+          << "n=" << n << " period=" << period << " u=" << k << " adjoint " << via_adjoint
+          << " trend " << via_trend;
+    }
+  }
+}
+
+TEST(LongTermKernelsTest, StlTrendAdjointMatchesTrendAtEveryDetectablePeriod) {
+  for (size_t n : {size_t{599}, size_t{612}}) {
+    std::vector<size_t> periods;
+    for (size_t period = 4; period <= 204; ++period) {
+      periods.push_back(period);
+    }
+    periods.push_back(std::max<size_t>(4, n / 20));
+    for (size_t period : periods) {
+      ExpectAdjointIdentity(n, period, 900 + n + period);
+    }
+  }
+}
+
+TEST(LongTermKernelsTest, StlTrendAdjointMatchesTrendOnShortSeries) {
+  for (size_t period : {size_t{2}, size_t{3}, size_t{4}, size_t{7}, size_t{30}, size_t{144},
+                        size_t{204}}) {
+    for (size_t extra : {size_t{0}, size_t{1}, size_t{5}}) {
+      ExpectAdjointIdentity(2 * period + extra, period, 1000 + period + extra);
+    }
+  }
+}
+
+// Robust STL reweights by its residuals, so its trend has no adjoint.
+TEST(LongTermKernelsDeathTest, StlTrendAdjointRejectsRobustStl) {
+  std::vector<double> u(100, 0.01);
+  const std::span<double> spans[1] = {u};
+  StlConfig robust;
+  robust.outer_iterations = 2;
+  EXPECT_DEATH(StlTrendAdjoint(100, 10, spans, robust), "outer_iterations");
 }
 
 // ---------------------------------------------------------------------------

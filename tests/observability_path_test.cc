@@ -370,7 +370,8 @@ TEST(ObservabilityPathTest, LongTermSubTimersNestInsideTheStageAndStayRuntimeOnl
   }
   const char* kSubSteps[] = {"pipeline.stage.long_term.acf.wall_ns",
                              "pipeline.stage.long_term.stl.wall_ns",
-                             "pipeline.stage.long_term.trend.wall_ns"};
+                             "pipeline.stage.long_term.trend.wall_ns",
+                             "pipeline.stage.long_term.screen.wall_ns"};
   const HistogramSnapshot& stage = histograms.at("pipeline.stage.long_term.wall_ns");
   uint64_t sub_sum = 0;
   for (const char* name : kSubSteps) {
@@ -388,6 +389,18 @@ TEST(ObservabilityPathTest, LongTermSubTimersNestInsideTheStageAndStayRuntimeOnl
   // per-run traces, whose stage spans must not overlap.
   const std::string deterministic = RenderTelemetryJson(registry, /*include_runtime=*/false);
   EXPECT_EQ(deterministic.find("long_term.acf"), std::string::npos) << deterministic;
+  EXPECT_EQ(deterministic.find("long_term.screen.wall_ns"), std::string::npos) << deterministic;
+
+  // The screen's count is a deterministic counter: some series skip their
+  // STL, and never more than reach the stage.
+  std::map<std::string, CounterSnapshot> counters;
+  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
+    counters[counter.name] = counter;
+  }
+  const CounterSnapshot& screened = counters.at(kCounterLongTermScreened);
+  EXPECT_EQ(screened.stability, CounterStability::kDeterministic);
+  EXPECT_GT(screened.value, 0u);
+  EXPECT_LE(screened.value, counters.at("pipeline.stage.long_term.in").value);
   for (const Trace& trace : run.pipeline->run_traces()) {
     for (const Span& span : trace.spans) {
       EXPECT_EQ(span.subroutine.find("long_term."), std::string::npos) << span.subroutine;

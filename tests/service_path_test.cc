@@ -916,6 +916,7 @@ TEST(ServiceServerTest, RunOutputByteIdenticalToOfflineAcrossScanThreads) {
   ASSERT_FALSE(offline.empty())
       << "the injected regression produced no offline detections";
 
+  std::vector<uint64_t> screened;
   for (const int scan_threads : {1, 2, 8}) {
     ServiceOptions service;
     service.flush_points = 16 * 1024;
@@ -939,8 +940,18 @@ TEST(ServiceServerTest, RunOutputByteIdenticalToOfflineAcrossScanThreads) {
       live += run_response.body;
     }
     EXPECT_EQ(live, offline) << "scan_threads=" << scan_threads;
+    // /stats reports the long-term screen's deterministic count.
+    HttpResponse stats_response;
+    ASSERT_TRUE(client.Get("/stats", &stats_response).ok());
+    screened.push_back(harness.server->stats().long_term_screened);
+    EXPECT_NE(stats_response.body.find("\"long_term_screened\":" +
+                                       std::to_string(screened.back())),
+              std::string::npos)
+        << stats_response.body;
     harness.StopHard();
   }
+  EXPECT_EQ(screened[0], screened[1]);
+  EXPECT_EQ(screened[0], screened[2]);
 }
 
 // Same identity under overload: only the ACKED prefix of the stream exists
