@@ -100,7 +100,6 @@ SeasonalityEstimate DetectSeasonality(std::span<const double> values, size_t min
   if (best_lag != 0 && best > std::max(min_correlation, noise_band)) {
     estimate.present = true;
     estimate.period = best_lag;
-    estimate.correlation = best;
   }
   return estimate;
 }
@@ -511,7 +510,7 @@ size_t LegacyScanMetric(const TimeSeriesDatabase& db, const MetricId& id, TimePo
   return survivors;
 }
 
-// Today's per-series scan (mirrors Pipeline::ScanMetric).
+// Today's per-series scan (mirrors Pipeline::EvaluateSeries).
 size_t ViewScanMetric(const TimeSeriesDatabase& db, const MetricId& id, TimePoint as_of,
                       const DetectionConfig& detection, const ChangePointStage& change_point,
                       const WentAwayDetector& went_away, const SeasonalityStage& seasonality,

@@ -43,7 +43,8 @@ struct ClientResult {
   uint64_t requests = 0;
   uint64_t http_200 = 0;
   uint64_t http_shed = 0;  // 429 or 503.
-  uint64_t transport_errors = 0;
+  uint64_t connect_errors = 0;  // Connect (or reconnect) refused or failed.
+  uint64_t request_errors = 0;  // Post failed on an open connection.
   std::vector<double> latencies_ms;
 };
 
@@ -55,7 +56,8 @@ struct LegResult {
   uint64_t client_requests = 0;
   uint64_t client_200 = 0;
   uint64_t client_shed = 0;
-  uint64_t transport_errors = 0;
+  uint64_t connect_errors = 0;
+  uint64_t request_errors = 0;
   double drain_ms = 0;
   bool drained = false;
 };
@@ -81,7 +83,7 @@ ClientResult RunClient(uint16_t port, const std::string& service, int series,
                                        /*start=*/0, /*step=*/60);
   fbdetect::HttpClient client;
   if (!client.Connect("127.0.0.1", port).ok()) {
-    ++result.transport_errors;
+    ++result.connect_errors;
     return result;
   }
   std::string body;
@@ -99,8 +101,9 @@ ClientResult RunClient(uint16_t port, const std::string& service, int series,
         client.Post("/ingest", "application/x-fbdetect", body, &response);
     ++result.requests;
     if (!status.ok()) {
-      ++result.transport_errors;
+      ++result.request_errors;
       if (!client.Connect("127.0.0.1", port).ok()) {
+        ++result.connect_errors;
         break;  // Server is gone (drain leg tears it down mid-flight).
       }
       continue;
@@ -165,7 +168,8 @@ LegResult RunLeg(fbdetect::TsdbOptions tsdb_options,
     leg.client_requests += r.requests;
     leg.client_200 += r.http_200;
     leg.client_shed += r.http_shed;
-    leg.transport_errors += r.transport_errors;
+    leg.connect_errors += r.connect_errors;
+    leg.request_errors += r.request_errors;
     latencies.insert(latencies.end(), r.latencies_ms.begin(), r.latencies_ms.end());
   }
   leg.p50_ms = Percentile(latencies, 0.50);
@@ -219,9 +223,13 @@ int main(int argc, char** argv) {
              sustained_series, sustained_pts, /*interval_ns=*/0, sustained_secs);
   const double sustained_pps =
       static_cast<double>(sustained.stats.acked_points) / sustained.seconds;
-  std::printf("  sustained: %.0f pts/s (acked %llu in %.2fs), p50 %.2fms p99 %.2fms\n",
-              sustained_pps, static_cast<unsigned long long>(sustained.stats.acked_points),
-              sustained.seconds, sustained.p50_ms, sustained.p99_ms);
+  std::printf(
+      "  sustained: %.0f pts/s (acked %llu in %.2fs), p50 %.2fms p99 %.2fms, "
+      "errors: %llu connect, %llu request\n",
+      sustained_pps, static_cast<unsigned long long>(sustained.stats.acked_points),
+      sustained.seconds, sustained.p50_ms, sustained.p99_ms,
+      static_cast<unsigned long long>(sustained.connect_errors),
+      static_cast<unsigned long long>(sustained.request_errors));
   ok = CheckAccounting("sustained", sustained.stats) && ok;
 
   // --- Leg 2: overload sweep against a token bucket ---
@@ -315,11 +323,13 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "  \"sustained\": {\"connections\": %d, \"batch_points\": %d, "
                  "\"seconds\": %.2f, \"acked_points\": %llu, \"points_per_sec\": %.0f, "
-                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"transport_errors\": %llu},\n",
+                 "\"p50_ms\": %.3f, \"p99_ms\": %.3f, \"connect_errors\": %llu, "
+                 "\"request_errors\": %llu},\n",
                  sustained_conns, sustained_series * sustained_pts, sustained.seconds,
                  static_cast<unsigned long long>(sustained.stats.acked_points),
                  sustained_pps, sustained.p50_ms, sustained.p99_ms,
-                 static_cast<unsigned long long>(sustained.transport_errors));
+                 static_cast<unsigned long long>(sustained.connect_errors),
+                 static_cast<unsigned long long>(sustained.request_errors));
     std::fprintf(json, "  \"overload_admit_points_per_sec\": %llu,\n",
                  static_cast<unsigned long long>(admit_rate));
     std::fprintf(json, "  \"overload\": [\n");

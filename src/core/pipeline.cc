@@ -50,7 +50,7 @@ size_t PointsPerDay(std::span<const TimePoint> timestamps) {
 // at most one candidate per metric — so the order is total and the sort is
 // deterministic. The serial scan emits survivors in exactly this order
 // (CachedMetrics is sorted with the same comparator; the short-term push
-// precedes the long-term push in ScanMetric), which is what makes threaded
+// precedes the long-term push in EvaluateSeries), which is what makes threaded
 // and single-threaded runs byte-identical.
 bool CanonicalSurvivorOrder(const Regression& a, const Regression& b) {
   if (a.metric != b.metric) {
@@ -95,9 +95,6 @@ Pipeline::Pipeline(const TimeSeriesDatabase* db, const ChangeLog* change_log,
       worker_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))),
       worker_series_scratch_(static_cast<size_t>(std::max(1, options_.scan_threads))) {
   FBD_CHECK(db_ != nullptr);
-  if (options_.scan_mode != ScanMode::kBatch) {
-    detector_store_ = std::make_unique<DetectorStateStore>();
-  }
   cost_shift_.AddDefaultDetectors(code_info, change_log_);
   if (change_log_ != nullptr) {
     RootCauseConfig rc = options_.root_cause;
@@ -185,11 +182,6 @@ void Pipeline::RegisterInstruments() {
   obs_.tsdb_list_cache_hits = counter("tsdb.scan.list_cache_hits");
   obs_.tsdb_list_cache_misses = counter("tsdb.scan.list_cache_misses");
   obs_.tsdb_list_cache_shard_refreshes = counter(kCounterListCacheShardRefreshes);
-
-  obs_.scan_dirty = counter(kCounterScanDirty);
-  obs_.scan_clean = counter(kCounterScanClean);
-  obs_.scan_cache_hit = counter(kCounterScanCacheHit);
-  obs_.run_short_circuits = counter(kCounterRunShortCircuits);
 
   // Durable-tier mirrors only exist when the scanned database has the tier
   // on, so pipelines over RAM-only databases keep an unchanged instrument
@@ -334,108 +326,12 @@ void Pipeline::set_stack_overlap(StackOverlapFn overlap) {
   pairwise_ = PairwiseDedup(options_.pairwise_rule, std::move(overlap));
 }
 
-void Pipeline::ScanMetric(const MetricId& id, TimePoint as_of,
-                          std::vector<Regression>& survivors, FunnelStats& short_funnel,
-                          FunnelStats& long_funnel, std::vector<double>& scratch,
-                          TimeSeries& series_scratch,
-                          std::vector<QuarantineRecord>& quarantine) const {
-  if (obs_.enabled) {
-    obs_.series_in->Increment();
-  }
-  if (detector_store_ == nullptr) {
-    // Batch mode: the oracle. Every series re-evaluates every run.
-    SeriesScanEvents events;
-    EvaluateSeries(id, as_of, survivors, short_funnel, long_funnel, scratch,
-                   series_scratch, quarantine, events);
-    ApplyScanEvents(events);
-    return;
-  }
-  // Gated mode: replay the cached verdict while the series' TSDB
-  // version is unchanged; re-evaluate (and refill the cache) when it moved.
-  // The scan visits each series exactly once per run, so the verdict slot is
-  // accessed exclusively here even with scan_threads > 1.
-  const std::optional<InternedMetricId> interned = db_->TryIntern(id);
-  if (!interned) {
-    // Ids come from CachedMetrics, so their symbols exist; only reachable if
-    // the series vanished since the listing. Evaluate uncached.
-    SeriesScanEvents events;
-    EvaluateSeries(id, as_of, survivors, short_funnel, long_funnel, scratch,
-                   series_scratch, quarantine, events);
-    ApplyScanEvents(events);
-    return;
-  }
-  const uint64_t version = db_->SeriesVersion(*interned);
-  SeriesVerdict& verdict = detector_store_->VerdictFor(*interned);
-  if (verdict.valid && verdict.version == version) {
-    if (obs_.enabled) {
-      obs_.scan_clean->Increment();
-      obs_.scan_cache_hit->Increment();
-    }
-    ApplyScanEvents(verdict.events);
-    survivors.insert(survivors.end(), verdict.survivors.begin(),
-                     verdict.survivors.end());
-    short_funnel.Accumulate(verdict.short_delta);
-    long_funnel.Accumulate(verdict.long_delta);
-    quarantine.insert(quarantine.end(), verdict.quarantine.begin(),
-                      verdict.quarantine.end());
-    return;
-  }
-  if (obs_.enabled) {
-    obs_.scan_dirty->Increment();
-  }
-  verdict.valid = false;
-  verdict.survivors.clear();
-  verdict.quarantine.clear();
-  verdict.short_delta = FunnelStats{};
-  verdict.long_delta = FunnelStats{};
-  verdict.events = SeriesScanEvents{};
-  const size_t first_survivor = survivors.size();
-  const size_t first_quarantine = quarantine.size();
-  EvaluateSeries(id, as_of, survivors, verdict.short_delta, verdict.long_delta,
-                 scratch, series_scratch, quarantine, verdict.events);
-  ApplyScanEvents(verdict.events);
-  short_funnel.Accumulate(verdict.short_delta);
-  long_funnel.Accumulate(verdict.long_delta);
-  verdict.survivors.assign(survivors.begin() + static_cast<ptrdiff_t>(first_survivor),
-                           survivors.end());
-  verdict.quarantine.assign(
-      quarantine.begin() + static_cast<ptrdiff_t>(first_quarantine), quarantine.end());
-  verdict.version = version;
-  verdict.as_of = as_of;
-  verdict.valid = true;
-}
-
-void Pipeline::ApplyScanEvents(const SeriesScanEvents& events) const {
-  if (!obs_.enabled) {
-    return;
-  }
-  obs_.series_no_data->Add(events.series_no_data);
-  obs_.series_decode_failures->Add(events.decode_failures);
-  obs_.windows_flagged->Add(events.windows_flagged);
-  obs_.windows_quarantined->Add(events.windows_quarantined);
-  if (events.sanitizer_verdict >= 0) {
-    obs_.sanitizer_verdict[static_cast<size_t>(events.sanitizer_verdict)]->Increment();
-  }
-  obs_.detector_exceptions->Add(events.detector_exceptions);
-  obs_.change_point.in->Add(events.change_point_in);
-  obs_.change_point.out->Add(events.change_point_out);
-  obs_.went_away.in->Add(events.went_away_in);
-  obs_.went_away.out->Add(events.went_away_out);
-  obs_.seasonality.in->Add(events.seasonality_in);
-  obs_.seasonality.out->Add(events.seasonality_out);
-  obs_.threshold.in->Add(events.threshold_in);
-  obs_.threshold.out->Add(events.threshold_out);
-  obs_.long_term.in->Add(events.long_term_in);
-  obs_.long_term.out->Add(events.long_term_out);
-  obs_.long_term_screened->Add(events.long_term_screened);
-}
-
 void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
                               std::vector<Regression>& survivors,
                               FunnelStats& short_funnel, FunnelStats& long_funnel,
                               std::vector<double>& scratch, TimeSeries& series_scratch,
-                              std::vector<QuarantineRecord>& quarantine,
-                              SeriesScanEvents& events) const {
+                              std::vector<QuarantineRecord>& quarantine) const {
+  Count(obs_.series_in);
   // Points before the detection windows are irrelevant, so the lookup only
   // needs [as_of - total, inf): when those live in the raw tail this is the
   // PR 1 zero-copy path; otherwise sealed chunks decode into the worker's
@@ -447,7 +343,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     if (!scan_status.ok()) {
       // Corrupt sealed storage: quarantine the series for this window
       // instead of letting the decode abort the re-run.
-      ++events.decode_failures;
+      Count(obs_.series_decode_failures);
       QuarantineRecord record;
       record.metric = id;
       record.worst = QualityVerdict::kCorrupt;
@@ -457,7 +353,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       record.last_error = scan_status.message();
       quarantine.push_back(std::move(record));
     } else {
-      ++events.series_no_data;
+      Count(obs_.series_no_data);
     }
     return;
   }
@@ -472,11 +368,11 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       sanitizer_.Inspect(id.kind, windows, options_.detection.windows);
   const bool quarantined = sanitizer_.ShouldQuarantine(quality.verdict);
   if (quality.observed) {
-    events.sanitizer_verdict = static_cast<int8_t>(quality.verdict);
+    Count(obs_.sanitizer_verdict[static_cast<size_t>(quality.verdict)]);
   }
   if (quality.observed &&
       (quality.verdict != QualityVerdict::kOk || quality.missing > 0 || quality.skew > 0)) {
-    ++events.windows_flagged;
+    Count(obs_.windows_flagged);
     QuarantineRecord record;
     record.metric = id;
     record.worst = quality.verdict;
@@ -490,7 +386,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     quarantine.push_back(std::move(record));
   }
   if (quarantined) {
-    ++events.windows_quarantined;
+    Count(obs_.windows_quarantined);
     return;
   }
 
@@ -506,7 +402,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     // whichever stage computes it first.
     SeriesDecomposition decomposition(view.full);
     // ---- Short-term path ----
-    ++events.change_point_in;
+    Count(obs_.change_point.in);
     std::optional<ScanCandidate> candidate;
     {
       StageTimer timer(Timed(obs_.change_point.wall_ns));
@@ -514,8 +410,8 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     }
     if (candidate) {
       ++short_funnel.change_points;
-      ++events.change_point_out;
-      ++events.went_away_in;
+      Count(obs_.change_point.out);
+      Count(obs_.went_away.in);
       const size_t points_per_day = PointsPerDay(view.analysis_timestamps);
       WentAwayVerdict went_away;
       {
@@ -524,8 +420,8 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       }
       if (went_away.keep) {
         ++short_funnel.after_went_away;
-        ++events.went_away_out;
-        ++events.seasonality_in;
+        Count(obs_.went_away.out);
+        Count(obs_.seasonality.in);
         SeasonalityVerdict seasonal;
         {
           StageTimer timer(Timed(obs_.seasonality.wall_ns));
@@ -533,8 +429,8 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
         }
         if (!seasonal.seasonal_filtered) {
           ++short_funnel.after_seasonality;
-          ++events.seasonality_out;
-          ++events.threshold_in;
+          Count(obs_.seasonality.out);
+          Count(obs_.threshold.in);
           bool passes;
           {
             StageTimer timer(Timed(obs_.threshold.wall_ns));
@@ -542,7 +438,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
           }
           if (passes) {
             ++short_funnel.after_threshold;
-            ++events.threshold_out;
+            Count(obs_.threshold.out);
             // First (and only) copy of window data on this path: the survivor.
             Regression regression = MaterializeRegression(id, view, *candidate);
             if (root_cause_ != nullptr) {
@@ -556,7 +452,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
 
     // ---- Long-term path ----
     if (options_.detection.enable_long_term) {
-      ++events.long_term_in;
+      Count(obs_.long_term.in);
       std::optional<Regression> long_candidate;
       bool screened = false;
       {
@@ -567,7 +463,9 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
              Timed(obs_.long_term_trend_ns), Timed(obs_.long_term_screen_ns)},
             long_term_screen_, &screened);
       }
-      events.long_term_screened += screened ? 1 : 0;
+      if (screened) {
+        Count(obs_.long_term_screened);
+      }
       if (long_candidate) {
         ++long_funnel.change_points;
         // The long-term detector applies the threshold internally; recheck for
@@ -576,7 +474,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
           ++long_funnel.after_threshold;
           // `out` counts post-threshold survivors, so stage.fingerprint.in ==
           // stage.threshold.out + stage.long_term.out reconciles exactly.
-          ++events.long_term_out;
+          Count(obs_.long_term.out);
           if (root_cause_ != nullptr) {
             long_candidate->candidate_root_causes = root_cause_->QuickCandidates(*long_candidate);
           }
@@ -585,18 +483,15 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
       }
     }
   } catch (const std::exception& e) {
-    ++events.detector_exceptions;
     QuarantineDetectorException(id, e.what(), quarantine);
   } catch (...) {
-    ++events.detector_exceptions;
     QuarantineDetectorException(id, "unknown exception", quarantine);
   }
 }
 
-// Counted by the caller (SeriesScanEvents::detector_exceptions), so a cached
-// verdict replays the count exactly; this only builds the record.
 void Pipeline::QuarantineDetectorException(const MetricId& id, const char* what,
                                            std::vector<QuarantineRecord>& quarantine) const {
+  Count(obs_.detector_exceptions);
   QuarantineRecord record;
   record.metric = id;
   record.worst = QualityVerdict::kCorrupt;
@@ -625,8 +520,8 @@ std::vector<Regression> Pipeline::ScanAllMetrics(const std::string& service, Tim
     std::vector<Regression> survivors;
     std::vector<QuarantineRecord> quarantine;
     for (const MetricId& id : ids) {
-      ScanMetric(id, as_of, survivors, short_funnel_, long_funnel_, worker_scratch_[0],
-                 worker_series_scratch_[0], quarantine);
+      EvaluateSeries(id, as_of, survivors, short_funnel_, long_funnel_, worker_scratch_[0],
+                     worker_series_scratch_[0], quarantine);
     }
     MergeQuarantine(quarantine);
     return survivors;
@@ -641,8 +536,8 @@ std::vector<Regression> Pipeline::ScanAllMetrics(const std::string& service, Tim
   std::vector<std::vector<QuarantineRecord>> worker_quarantine(num_workers);
   pool_.ParallelFor(num_workers, [&](size_t w) {
     for (size_t i = w; i < ids.size(); i += num_workers) {
-      ScanMetric(ids[i], as_of, worker_survivors[w], worker_short[w], worker_long[w],
-                 worker_scratch_[w], worker_series_scratch_[w], worker_quarantine[w]);
+      EvaluateSeries(ids[i], as_of, worker_survivors[w], worker_short[w], worker_long[w],
+                     worker_scratch_[w], worker_series_scratch_[w], worker_quarantine[w]);
     }
   });
   std::vector<Regression> survivors;
@@ -667,9 +562,7 @@ void Pipeline::MergeQuarantine(std::vector<QuarantineRecord>& records) {
 }
 
 void Pipeline::RecordException(const MetricId& metric, std::string message) {
-  if (obs_.enabled) {
-    obs_.funnel_exceptions->Increment();
-  }
+  Count(obs_.funnel_exceptions);
   QuarantineRecord& record = quarantine_[metric];
   record.metric = metric;
   record.worst = std::max(record.worst, QualityVerdict::kCorrupt);
@@ -703,25 +596,6 @@ ThreadPool* Pipeline::FunnelPool() {
 }
 
 std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as_of) {
-  const uint64_t generation = db_->generation();
-  if (detector_store_ != nullptr && last_run_valid_ && last_run_service_ == service &&
-      last_run_generation_ == generation) {
-    // Nothing was ingested, sealed, or expired since the last run of this
-    // service: every verdict would replay and no new group could open. Skip
-    // the scan and the funnel wholesale; previously reported groups remain
-    // available via groups(). Every series counts as clean (series_in is
-    // untouched — no scan happened).
-    if (obs_.enabled) {
-      obs_.runs->Increment();
-      obs_.run_short_circuits->Increment();
-      obs_.scan_clean->Add(CachedMetrics(service).size());
-      SyncTelemetry();
-      if (self_sink_ != nullptr) {
-        self_sink_->Persist(telemetry_, as_of);
-      }
-    }
-    return {};
-  }
   // Telemetry bookkeeping for this run: wall-clock start plus the stage
   // histograms' accumulated sums, whose deltas become the trace's stage
   // spans. All zero-cost when telemetry is off.
@@ -964,17 +838,10 @@ std::vector<Regression> Pipeline::RunAt(const std::string& service, TimePoint as
     if (self_sink_ != nullptr) {
       // Self-hosting: persist this run's registry snapshot as ordinary series
       // (DESIGN.md §15). Runs after the scan's readers are done, so the sink
-      // may target the scanned database itself; the resulting generation bump
-      // correctly disarms the short-circuit when it does.
+      // may target the scanned database itself.
       self_sink_->Persist(telemetry_, as_of);
     }
   }
-  // Arm the next run's short-circuit with the generation observed before the
-  // scan (writers never run concurrently with a scan, so it is also the
-  // generation after).
-  last_run_service_ = service;
-  last_run_generation_ = generation;
-  last_run_valid_ = true;
   return reported;
 }
 

@@ -150,7 +150,6 @@ SeasonalityEstimate DetectSeasonality(std::span<const double> values, size_t min
   if (best_lag != 0 && best > std::max(min_correlation, noise_band)) {
     estimate.present = true;
     estimate.period = best_lag;
-    estimate.correlation = best;
   }
   return estimate;
 }

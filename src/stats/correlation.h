@@ -35,8 +35,7 @@ std::vector<double> AutocorrelationFunctionBruteForce(std::span<const double> va
 
 struct SeasonalityEstimate {
   bool present = false;
-  size_t period = 0;        // Lag of the strongest significant ACF peak.
-  double correlation = 0.0;  // ACF value at that lag.
+  size_t period = 0;  // Lag of the strongest significant ACF peak.
 };
 
 // Scans the ACF for the strongest local peak whose correlation exceeds both

@@ -816,8 +816,7 @@ void TimeSeriesDatabase::EnforceSealedBudget() {
     chunks_evicted_.fetch_add(1, std::memory_order_relaxed);
     evicted_bytes_.fetch_add(freed, std::memory_order_relaxed);
     // No version/generation bump: eviction changes where bytes live, not
-    // what the series contains — readers' caches and the generation-gated
-    // scan must not observe it.
+    // what the series contains — readers' caches must not observe it.
   }
 }
 
@@ -846,13 +845,6 @@ uint64_t TimeSeriesDatabase::generation() const {
     total += shard.generation.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-uint64_t TimeSeriesDatabase::SeriesVersion(const InternedMetricId& id) const {
-  const Shard& shard = shards_[ShardIndex(id)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.series.find(id);
-  return it == shard.series.end() ? 0 : it->second.version;
 }
 
 TimeSeriesDatabase::DurableStats TimeSeriesDatabase::durable_stats() const {

@@ -336,12 +336,6 @@ class TimeSeriesDatabase {
   // (sum of per-shard counters); never changed by reads.
   uint64_t generation() const;
 
-  // Per-series mutation counter: bumped on every stored append, seal, and
-  // retention trim of the series; 0 when the series is absent. The
-  // generation-gated scan compares this against the version its cached
-  // verdict was computed at to decide dirty vs clean.
-  uint64_t SeriesVersion(const InternedMetricId& id) const;
-
  private:
   friend class WriteBatch;
 

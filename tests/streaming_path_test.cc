@@ -1,9 +1,7 @@
-// End-to-end acceptance tests for the incremental scan under streaming
-// ingest (DESIGN §14): generation-gated re-runs must be byte-identical to the
-// batch oracle whenever every series is dirty at a run (the
-// interleaved-ingest steady state), whole-run short-circuits must provably do
-// zero scan work, and the incremental ListMetrics cache must refresh only
-// moved shards.
+// End-to-end acceptance tests for detection under streaming ingest: re-runs
+// interleaved with ingest must be byte-identical for any scan_threads value
+// (the serial scan is the oracle), and the incremental ListMetrics cache
+// (DESIGN §14) must refresh only moved shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +17,6 @@
 #include "src/fleet/fault_injector.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/service.h"
-#include "src/observe/telemetry.h"
 #include "src/report/report.h"
 #include "src/tsdb/database.h"
 #include "src/tsdb/metric_id.h"
@@ -29,9 +26,7 @@ namespace {
 
 constexpr Duration kTick = Minutes(10);
 constexpr TimePoint kDataEnd = Days(2);
-// Re-runs at 30h, 33h, ..., 48h. Every run is preceded by a fresh ingest
-// segment, so every series is dirty at every run — the regime in which the
-// gated scan guarantees byte-identity with the batch oracle.
+// Re-runs at 30h, 33h, ..., 48h, each preceded by a fresh ingest segment.
 constexpr TimePoint kFirstRun = Hours(30);
 constexpr Duration kRunStep = Hours(3);
 constexpr uint64_t kFaultSeed = 11;
@@ -52,7 +47,7 @@ ServiceConfig ConvergenceServiceConfig() {
   return config;
 }
 
-PipelineOptions DetectOptions(int scan_threads, ScanMode mode) {
+PipelineOptions DetectOptions(int scan_threads) {
   PipelineOptions options;
   options.detection.threshold = 0.0005;
   options.detection.windows.historical = Days(1);
@@ -60,7 +55,6 @@ PipelineOptions DetectOptions(int scan_threads, ScanMode mode) {
   options.detection.windows.extended = Hours(2);
   options.detection.rerun_interval = kRunStep;
   options.scan_threads = scan_threads;
-  options.scan_mode = mode;
   return options;
 }
 
@@ -95,41 +89,26 @@ std::string RenderPipelineState(Pipeline& pipeline) {
   return out;
 }
 
-uint64_t CounterValue(const TelemetryRegistry& registry, const std::string& name) {
-  for (const CounterSnapshot& counter : registry.SnapshotCounters()) {
-    if (counter.name == name) {
-      return counter.value;
-    }
-  }
-  return 0;
-}
+// ---------------------------------------------------------------------------
+// Convergence: interleaved ingest/detect over one database, scanned by
+// pipelines at scan_threads 1, 2 and 8. Every re-run's serialized reports,
+// and the final funnel and quarantine, must match the serial oracle's.
+// ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Convergence: interleaved ingest/detect, gated vs the batch oracle over the
-// same database. Each re-run follows a fresh ingest segment,
-// so every series is dirty at every run and the gated contract guarantees
-// byte-identical survivors, funnels, and quarantine reports.
-// ---------------------------------------------------------------------------
+constexpr int kScanThreads[] = {1, 2, 8};
 
 struct ScenarioResult {
-  std::vector<Regression> batch_reports;
-  std::string batch_rendered;      // All reports + funnel + quarantine.
-  std::string gated_rendered;
+  std::vector<Regression> oracle_reports;  // scan_threads = 1.
+  std::vector<std::string> rendered;       // Reports + funnel + quarantine, per kScanThreads.
 };
 
-ScenarioResult RunInterleavedScenario(double magnitude, double fault_rate,
-                                      int scan_threads) {
+ScenarioResult RunInterleavedScenario(double magnitude, double fault_rate) {
   const ServiceConfig config = ConvergenceServiceConfig();
 
   std::unique_ptr<FaultInjector> injector;
   if (fault_rate > 0.0) {
-    FaultInjectorConfig fault_config = FaultInjectorConfig::AllKinds(fault_rate, kFaultSeed);
-    // Keep flap epochs much shorter than one ingest segment: a series that
-    // goes completely dark for a whole segment is legitimately clean at the
-    // next run (its verdict replays), which would exercise the documented
-    // as-of approximation instead of the byte-identity regime under test.
-    fault_config.flap_epoch = Minutes(30);
-    injector = std::make_unique<FaultInjector>(fault_config);
+    injector = std::make_unique<FaultInjector>(
+        FaultInjectorConfig::AllKinds(fault_rate, kFaultSeed));
   }
 
   FleetSimulator fleet;
@@ -142,8 +121,11 @@ ScenarioResult RunInterleavedScenario(double magnitude, double fault_rate,
   event.magnitude = magnitude;
   fleet.InjectEvent(event);
 
-  Pipeline batch(&fleet.db(), nullptr, nullptr, DetectOptions(scan_threads, ScanMode::kBatch));
-  Pipeline gated(&fleet.db(), nullptr, nullptr, DetectOptions(scan_threads, ScanMode::kGated));
+  std::vector<std::unique_ptr<Pipeline>> pipelines;
+  for (const int threads : kScanThreads) {
+    pipelines.push_back(
+        std::make_unique<Pipeline>(&fleet.db(), nullptr, nullptr, DetectOptions(threads)));
+  }
 
   FleetIngestOptions ingest;
   ingest.threads = 2;
@@ -151,28 +133,36 @@ ScenarioResult RunInterleavedScenario(double magnitude, double fault_rate,
   ingest.fault_injector = injector.get();
 
   ScenarioResult result;
-  std::string batch_reports_rendered;
-  std::string gated_reports_rendered;
+  result.rendered.resize(pipelines.size());
   TimePoint ingested = -kTick;
   for (TimePoint as_of = kFirstRun; as_of <= kDataEnd; as_of += kRunStep) {
     fleet.Run(ingested, as_of, ingest);
     ingested = as_of;
-    const std::vector<Regression> batch_run = batch.RunAt(config.name, as_of);
-    const std::vector<Regression> gated_run = gated.RunAt(config.name, as_of);
-    const std::string batch_serialized = Serialize(batch_run);
-    const std::string gated_serialized = Serialize(gated_run);
-    EXPECT_EQ(gated_serialized, batch_serialized)
-        << "as_of=" << as_of << " magnitude=" << magnitude << " fault_rate=" << fault_rate
-        << " scan_threads=" << scan_threads;
-    batch_reports_rendered += batch_serialized;
-    gated_reports_rendered += gated_serialized;
-    result.batch_reports.insert(result.batch_reports.end(), batch_run.begin(),
-                                batch_run.end());
+    std::string oracle_serialized;
+    for (size_t p = 0; p < pipelines.size(); ++p) {
+      const std::vector<Regression> run = pipelines[p]->RunAt(config.name, as_of);
+      const std::string serialized = Serialize(run);
+      if (p == 0) {
+        oracle_serialized = serialized;
+        result.oracle_reports.insert(result.oracle_reports.end(), run.begin(), run.end());
+      }
+      EXPECT_EQ(serialized, oracle_serialized)
+          << "as_of=" << as_of << " magnitude=" << magnitude << " fault_rate=" << fault_rate
+          << " scan_threads=" << kScanThreads[p];
+      result.rendered[p] += serialized;
+    }
   }
-
-  result.batch_rendered = batch_reports_rendered + RenderPipelineState(batch);
-  result.gated_rendered = gated_reports_rendered + RenderPipelineState(gated);
+  for (size_t p = 0; p < pipelines.size(); ++p) {
+    result.rendered[p] += RenderPipelineState(*pipelines[p]);
+  }
   return result;
+}
+
+void ExpectThreadCountsAgree(const ScenarioResult& result, const std::string& context) {
+  for (size_t p = 1; p < result.rendered.size(); ++p) {
+    EXPECT_EQ(result.rendered[p], result.rendered[0])
+        << context << " scan_threads=" << kScanThreads[p];
+  }
 }
 
 bool StepDetectedNear(const std::vector<Regression>& reports, TimePoint start) {
@@ -185,125 +175,25 @@ bool StepDetectedNear(const std::vector<Regression>& reports, TimePoint start) {
   return false;
 }
 
+TEST(StreamingConvergenceTest, ThreadCountSweepIsByteIdentical) {
+  const ScenarioResult result = RunInterleavedScenario(/*magnitude=*/0.5, /*fault_rate=*/0.0);
+  ExpectThreadCountsAgree(result, "fault_rate=0");
+  EXPECT_TRUE(StepDetectedNear(result.oracle_reports, Hours(36)))
+      << Serialize(result.oracle_reports);
+}
+
 TEST(StreamingConvergenceTest, MagnitudeSweepMatchesBatchOracle) {
-  for (const double magnitude : {0.5, 0.05, 0.005}) {
-    const ScenarioResult result =
-        RunInterleavedScenario(magnitude, /*fault_rate=*/0.0, /*scan_threads=*/2);
-    EXPECT_EQ(result.gated_rendered, result.batch_rendered)
-        << "magnitude=" << magnitude;
-    if (magnitude == 0.5) {
-      EXPECT_TRUE(StepDetectedNear(result.batch_reports, Hours(36)))
-          << Serialize(result.batch_reports);
-    }
+  for (const double magnitude : {0.05, 0.005}) {
+    const ScenarioResult result = RunInterleavedScenario(magnitude, /*fault_rate=*/0.0);
+    ExpectThreadCountsAgree(result, "magnitude=" + std::to_string(magnitude));
   }
 }
 
 TEST(StreamingConvergenceTest, FaultRateSweepMatchesBatchOracle) {
   for (const double rate : {0.05, 0.10}) {
-    const ScenarioResult result =
-        RunInterleavedScenario(/*magnitude=*/0.5, rate, /*scan_threads=*/2);
-    EXPECT_EQ(result.gated_rendered, result.batch_rendered) << "fault_rate=" << rate;
+    const ScenarioResult result = RunInterleavedScenario(/*magnitude=*/0.5, rate);
+    ExpectThreadCountsAgree(result, "fault_rate=" + std::to_string(rate));
   }
-}
-
-TEST(StreamingConvergenceTest, GatedModeMatchesBatchOracle) {
-  const ScenarioResult result =
-      RunInterleavedScenario(/*magnitude=*/0.5, /*fault_rate=*/0.0, /*scan_threads=*/2);
-  EXPECT_EQ(result.gated_rendered, result.batch_rendered);
-  EXPECT_TRUE(StepDetectedNear(result.batch_reports, Hours(36)))
-      << Serialize(result.batch_reports);
-}
-
-TEST(StreamingConvergenceTest, ThreadCountSweepIsByteIdentical) {
-  std::vector<ScenarioResult> results;
-  for (const int threads : {1, 2, 8}) {
-    results.push_back(
-        RunInterleavedScenario(/*magnitude=*/0.5, /*fault_rate=*/0.0, threads));
-    EXPECT_EQ(results.back().gated_rendered, results.back().batch_rendered)
-        << "scan_threads=" << threads;
-  }
-  // The whole fleet build is deterministic, so the gated output must also
-  // agree across scan_threads values, not just with its own oracle.
-  EXPECT_EQ(results[1].gated_rendered, results[0].gated_rendered);
-  EXPECT_EQ(results[2].gated_rendered, results[0].gated_rendered);
-}
-
-// ---------------------------------------------------------------------------
-// Generation gating telemetry: whole-run short-circuits and per-series
-// dirty/clean accounting.
-// ---------------------------------------------------------------------------
-
-ServiceConfig SmallServiceConfig() {
-  ServiceConfig config = ConvergenceServiceConfig();
-  config.num_servers = 20;
-  config.call_graph.num_subroutines = 16;
-  return config;
-}
-
-PipelineOptions GatedTelemetryOptions() {
-  PipelineOptions options = DetectOptions(/*scan_threads=*/1, ScanMode::kGated);
-  options.telemetry.enabled = true;
-  return options;
-}
-
-TEST(GatedScanTest, UnchangedGenerationShortCircuitsTheRunWithZeroScanWork) {
-  FleetSimulator fleet;
-  fleet.AddService(SmallServiceConfig());
-  fleet.Run(-kTick, kFirstRun);
-
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, GatedTelemetryOptions());
-  pipeline.RunAt("svc", kFirstRun);
-  const TelemetryRegistry& registry = pipeline.telemetry();
-  const uint64_t series = CounterValue(registry, "pipeline.scan.series_in");
-  EXPECT_GT(series, 0u);
-  EXPECT_EQ(series, fleet.db().ListMetrics("svc").size());
-  // First sight of every series: all dirty, nothing cached or skipped.
-  EXPECT_EQ(CounterValue(registry, kCounterScanDirty), series);
-  EXPECT_EQ(CounterValue(registry, kCounterScanCacheHit), 0u);
-  EXPECT_EQ(CounterValue(registry, kCounterScanClean), 0u);
-  EXPECT_EQ(CounterValue(registry, kCounterRunShortCircuits), 0u);
-
-  // No ingest since the last run: the whole re-run is skipped. Zero scan
-  // work, proven by telemetry — series_in and dirty do not move at all.
-  const std::vector<Regression> rerun = pipeline.RunAt("svc", kFirstRun + kRunStep);
-  EXPECT_TRUE(rerun.empty());
-  EXPECT_EQ(CounterValue(registry, "pipeline.scan.series_in"), series);
-  EXPECT_EQ(CounterValue(registry, kCounterScanDirty), series);
-  EXPECT_EQ(CounterValue(registry, kCounterScanCacheHit), 0u);
-  EXPECT_EQ(CounterValue(registry, kCounterScanClean), series);
-  EXPECT_EQ(CounterValue(registry, kCounterRunShortCircuits), 1u);
-  EXPECT_EQ(CounterValue(registry, "pipeline.runs"), 2u);
-
-  // RunPeriod over an unchanged database short-circuits every contained run.
-  const std::vector<Regression> period =
-      pipeline.RunPeriod("svc", kFirstRun, kFirstRun + 3 * kRunStep);
-  EXPECT_TRUE(period.empty());
-  EXPECT_EQ(CounterValue(registry, "pipeline.scan.series_in"), series);
-  EXPECT_EQ(CounterValue(registry, kCounterRunShortCircuits), 4u);
-}
-
-TEST(GatedScanTest, SingleDirtySeriesReevaluatesOnlyThatSeries) {
-  FleetSimulator fleet;
-  fleet.AddService(SmallServiceConfig());
-  fleet.Run(-kTick, kFirstRun);
-
-  Pipeline pipeline(&fleet.db(), nullptr, nullptr, GatedTelemetryOptions());
-  pipeline.RunAt("svc", kFirstRun);
-  const TelemetryRegistry& registry = pipeline.telemetry();
-  const uint64_t series = CounterValue(registry, "pipeline.scan.series_in");
-  ASSERT_GT(series, 1u);
-
-  // One point on one series: exactly that series re-evaluates; every other
-  // series replays its cached verdict (and the per-series events keep the
-  // series_in reconciliation exact: series_in delta == dirty + cache_hit).
-  const MetricId touched = fleet.db().ListMetrics("svc").front();
-  fleet.db().Write(touched, kFirstRun + 60, 1.0);
-  pipeline.RunAt("svc", kFirstRun + kRunStep);
-  EXPECT_EQ(CounterValue(registry, "pipeline.scan.series_in"), 2 * series);
-  EXPECT_EQ(CounterValue(registry, kCounterScanDirty), series + 1);
-  EXPECT_EQ(CounterValue(registry, kCounterScanCacheHit), series - 1);
-  EXPECT_EQ(CounterValue(registry, kCounterScanClean), series - 1);
-  EXPECT_EQ(CounterValue(registry, kCounterRunShortCircuits), 0u);
 }
 
 // ---------------------------------------------------------------------------
