@@ -28,6 +28,13 @@
 // It lands in the "long_term_screen" section of BENCH_simd.json, with no
 // speed gate.
 //
+// An "acf" table prices the certified ACF (DESIGN §13) at the pipeline's
+// n = 612 (lags to 204) and at n = 4096: the reference (the 2n-padded
+// complex transform and the peak search, as DetectSeasonality ran before
+// the certified path) against DetectSeasonality, per series. Its identity
+// check: both reach the same (present, period) on every bench series; the
+// fallback count is reported. No speed gate.
+//
 // Every kernel is first checked bit-identical against the scalar oracle on
 // the bench inputs, then timed (min of repetitions, fixed element count).
 // Results land in the "kernels" section of BENCH_simd.json. Off --smoke,
@@ -35,10 +42,12 @@
 // beat its oracle by >= 2x (the PR's acceptance bar); the forced-scalar leg
 // (FBD_DISABLE_SIMD=1) still runs the identity checks and the decode
 // comparison (the two-phase decode needs no vector ISA to win).
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +58,7 @@
 #include "src/core/long_term.h"
 #include "src/core/series_decomposition.h"
 #include "src/observe/telemetry.h"
+#include "src/stats/correlation.h"
 #include "src/tsa/stl.h"
 #include "src/tsdb/gorilla.h"
 
@@ -108,6 +118,33 @@ void LegacyDecodeInto(const CompressedTimeSeries& chunk, TimeSeries& out) {
 }
 
 using Clock = std::chrono::steady_clock;
+
+// DetectSeasonality as it ran before the certified ACF: the reference
+// transform's ACF and the peak search over it.
+SeasonalityEstimate ReferenceSeasonality(std::span<const double> values, size_t min_period,
+                                         size_t max_period, double min_correlation) {
+  SeasonalityEstimate estimate;
+  const size_t n = values.size();
+  const size_t cap = std::min(max_period, n / 2);
+  const std::vector<double> acf = AutocorrelationFunction(values, cap);
+  const double noise_band = 2.0 / std::sqrt(static_cast<double>(n));
+  double best = 0.0;
+  size_t best_lag = 0;
+  for (size_t lag = min_period; lag <= cap; ++lag) {
+    const double r = acf[lag - 1];
+    const double prev = acf[lag - 2];
+    const double next = lag < cap ? acf[lag] : r;
+    if (r >= prev && r >= next && r > best) {
+      best = r;
+      best_lag = lag;
+    }
+  }
+  if (best_lag != 0 && best > std::max(min_correlation, noise_band)) {
+    estimate.present = true;
+    estimate.period = best_lag;
+  }
+  return estimate;
+}
 
 // One timed measurement: runs `fn` `iters` times, returns best ns/element.
 template <typename Fn>
@@ -578,6 +615,62 @@ int main(int argc, char** argv) {
     }
     screen_json += "]}";
     UpdateBenchSimdJson("long_term_screen", screen_json);
+  }
+
+  // --- certified ACF: DetectSeasonality against the reference, per series
+  {
+    std::printf("\n%-6s %8s %16s %16s %9s %10s\n", "n", "series", "reference us",
+                "certified us", "speedup", "fallbacks");
+    std::string acf_json = "{\"min_period\": 4, \"max_period\": \"n/3\", \"entries\": [";
+    const int acf_series = smoke ? 40 : 400;
+    for (const size_t n : {size_t{612}, size_t{4096}}) {
+      const size_t max_period = n / 3;
+      std::vector<std::vector<double>> series(acf_series, std::vector<double>(n));
+      for (std::vector<double>& values : series) {
+        const size_t period = 4 + static_cast<size_t>(rng.NextUint64(max_period - 4));
+        const double amplitude = rng.Uniform(0.0, 0.3);
+        const double noise = std::pow(10.0, rng.Uniform(-3.0, -1.0));
+        for (size_t i = 0; i < n; ++i) {
+          values[i] = 1.0 + amplitude * std::sin(2.0 * M_PI * static_cast<double>(i % period) /
+                                                 static_cast<double>(period)) +
+                      rng.Normal(0.0, noise);
+        }
+      }
+      // Identity: the same decision on every bench series.
+      int fallbacks = 0;
+      for (const std::vector<double>& values : series) {
+        bool exact_fallback = false;
+        const SeasonalityEstimate certified =
+            DetectSeasonality(values, 4, max_period, 0.3, &exact_fallback);
+        const SeasonalityEstimate reference = ReferenceSeasonality(values, 4, max_period, 0.3);
+        FBD_CHECK(certified.present == reference.present &&
+                  certified.period == reference.period);
+        fallbacks += exact_fallback ? 1 : 0;
+      }
+      const double reference_ns = BestNsPerElement(series.size(), kReps, 1, [&] {
+        for (const std::vector<double>& values : series) {
+          g_sink = static_cast<double>(ReferenceSeasonality(values, 4, max_period, 0.3).period);
+        }
+      });
+      const double certified_ns = BestNsPerElement(series.size(), kReps, 1, [&] {
+        for (const std::vector<double>& values : series) {
+          g_sink = static_cast<double>(DetectSeasonality(values, 4, max_period, 0.3).period);
+        }
+      });
+      std::printf("%-6zu %8zu %16.2f %16.2f %8.2fx %10d\n", n, series.size(),
+                  reference_ns / 1e3, certified_ns / 1e3, reference_ns / certified_ns,
+                  fallbacks);
+      char buffer[240];
+      std::snprintf(buffer, sizeof(buffer),
+                    "%s{\"kernel\": \"acf\", \"n\": %zu, \"series\": %zu, "
+                    "\"reference_us_per_series\": %.2f, \"certified_us_per_series\": %.2f, "
+                    "\"speedup\": %.2f, \"fallbacks\": %d}",
+                    n == 612 ? "" : ", ", n, series.size(), reference_ns / 1e3,
+                    certified_ns / 1e3, reference_ns / certified_ns, fallbacks);
+      acf_json += buffer;
+    }
+    acf_json += "]}";
+    UpdateBenchSimdJson("acf", acf_json);
   }
 
   // Acceptance bar: each family's dominant kernel >= 2x its oracle, single

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/rounding.h"
 #include "src/stats/correlation.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/linreg.h"

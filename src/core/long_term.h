@@ -106,8 +106,9 @@ class LongTermDetector {
 
   // Zero-copy core: consumes a pre-oriented ScanView (no window copies are
   // made on the non-detecting path; the returned Regression stores the STL
-  // trend, as before). DetectSeasonality underneath runs the O(n log n) FFT
-  // autocorrelation for the long windows this path sees.
+  // trend, as before). DetectSeasonality underneath takes the certified
+  // real-input FFT autocorrelation for the long windows this path sees, and
+  // the reference transform only when the certificate cannot decide.
   std::optional<Regression> Detect(const MetricId& metric, const ScanView& view) const;
 
   // Same, taking the seasonality estimate and STL from `shared` (built over

@@ -164,6 +164,7 @@ void Pipeline::RegisterInstruments() {
   obs_.long_term_trend_ns = telemetry_.GetHistogram("pipeline.stage.long_term.trend.wall_ns");
   obs_.long_term_screen_ns = telemetry_.GetHistogram("pipeline.stage.long_term.screen.wall_ns");
   obs_.long_term_screened = counter(kCounterLongTermScreened);
+  obs_.acf_exact_fallbacks = counter(kCounterAcfExactFallbacks);
 
   obs_.scan_wall_ns = telemetry_.GetHistogram("pipeline.scan.wall_ns");
   obs_.run_wall_ns = telemetry_.GetHistogram("pipeline.run.wall_ns");
@@ -400,7 +401,7 @@ void Pipeline::EvaluateSeries(const MetricId& id, TimePoint as_of,
     // Seasonality estimate and STL, computed at most once and shared by the
     // seasonality stage and the long-term detector; each is charged to
     // whichever stage computes it first.
-    SeriesDecomposition decomposition(view.full);
+    SeriesDecomposition decomposition(view.full, obs_.acf_exact_fallbacks);
     // ---- Short-term path ----
     Count(obs_.change_point.in);
     std::optional<ScanCandidate> candidate;

@@ -206,6 +206,8 @@ class Pipeline {
     Histogram* long_term_screen_ns = nullptr;
     // Series the long-term screen rejected without an STL (DESIGN §13).
     Counter* long_term_screened = nullptr;
+    // Seasonality estimates the certified ACF left to the reference.
+    Counter* acf_exact_fallbacks = nullptr;
     Histogram* scan_wall_ns = nullptr;  // Whole ScanAllMetrics, per run.
     Histogram* run_wall_ns = nullptr;   // Whole RunAt, per run.
     // Runtime mirrors, Set() from the pool/TSDB sources at SyncTelemetry.

@@ -7,9 +7,11 @@
 // filtered as seasonal when the z-score stays below the threshold in BOTH
 // the analysis window and the extended window.
 //
-// The ACF underneath DetectSeasonality runs in O(n log n) via the FFT path
-// in src/stats/correlation.h, and the pipeline shares the estimate and the
-// STL with the long-term detector (SeriesDecomposition).
+// DetectSeasonality (src/stats/correlation.h) picks the period from a
+// certified real-input FFT of NextPowerOfTwo(n + n/3 + 1) points and runs
+// the reference O(n log n) transform only when the certificate cannot
+// decide; the pipeline shares the estimate and the STL with the long-term
+// detector (SeriesDecomposition).
 #ifndef FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 #define FBDETECT_SRC_CORE_SEASONALITY_STAGE_H_
 

@@ -6,9 +6,13 @@ const SeasonalityEstimate& SeriesDecomposition::Season(double min_correlation,
                                                        Histogram* timer) {
   if (season_min_correlation_ != min_correlation) {
     StageTimer timed(timer);
+    bool exact_fallback = false;
     season_ = DetectSeasonality(full_, /*min_period=*/4, /*max_period=*/full_.size() / 3,
-                                min_correlation);
+                                min_correlation, &exact_fallback);
     season_min_correlation_ = min_correlation;
+    if (exact_fallback && exact_fallbacks_ != nullptr) {
+      exact_fallbacks_->Increment();
+    }
   }
   return season_;
 }

@@ -22,7 +22,10 @@ inline constexpr StlConfig kSeriesStlConfig{};
 class SeriesDecomposition {
  public:
   // `full` must outlive this object (it is the scanned view's series).
-  explicit SeriesDecomposition(std::span<const double> full) : full_(full) {}
+  // `exact_fallbacks`, when given, counts the Season() computations whose
+  // certified fast ACF could not decide.
+  explicit SeriesDecomposition(std::span<const double> full, Counter* exact_fallbacks = nullptr)
+      : full_(full), exact_fallbacks_(exact_fallbacks) {}
 
   // DetectSeasonality(full, 4, full.size() / 3, min_correlation), computed
   // on the first call (and again only for a different min_correlation).
@@ -38,6 +41,7 @@ class SeriesDecomposition {
 
  private:
   std::span<const double> full_;
+  Counter* exact_fallbacks_;
   std::optional<double> season_min_correlation_;
   SeasonalityEstimate season_;
   std::optional<size_t> stl_period_;

@@ -49,6 +49,9 @@ inline constexpr const char kCounterListCacheShardRefreshes[] =
 // Long-term series whose STL the screen proved unnecessary (DESIGN §13).
 inline constexpr const char kCounterLongTermScreened[] =
     "pipeline.stage.long_term.screened";
+// Seasonality estimates whose certified fast ACF could not decide, so the
+// reference transform ran (DESIGN §13, "Certified ACF").
+inline constexpr const char kCounterAcfExactFallbacks[] = "stats.acf.exact_fallbacks";
 
 // A monotonic event counter. Add is wait-free (relaxed fetch_add); Set exists
 // only for export-time mirroring of externally maintained stats (TSDB shard

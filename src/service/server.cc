@@ -95,6 +95,7 @@ ServiceServer::ServiceServer(TimeSeriesDatabase* db, Pipeline* pipeline,
   tm_queue_points_ = runtime("service.queued_points");
   tm_ingest_latency_ns_ = registry.GetHistogram("service.ingest_latency_ns");
   tm_long_term_screened_ = registry.GetCounter(kCounterLongTermScreened);
+  tm_acf_exact_fallbacks_ = registry.GetCounter(kCounterAcfExactFallbacks);
 }
 
 ServiceServer::~ServiceServer() {
@@ -866,6 +867,7 @@ ServiceServer::Stats ServiceServer::stats() const {
   s.parse_queue_peak_points = parse_queue_.max_cost_observed();
   s.ingest_queue_peak_points = ingest_queue_.max_cost_observed();
   s.long_term_screened = tm_long_term_screened_->value();
+  s.acf_exact_fallbacks = tm_acf_exact_fallbacks_->value();
   return s;
 }
 
@@ -907,7 +909,8 @@ std::string ServiceServer::StatsJson() const {
   field("ingest_queue_points", ingest_queue_.cost());
   field("parse_queue_peak_points", s.parse_queue_peak_points);
   field("ingest_queue_peak_points", s.ingest_queue_peak_points);
-  field("long_term_screened", s.long_term_screened, /*last=*/true);
+  field("long_term_screened", s.long_term_screened);
+  field("acf_exact_fallbacks", s.acf_exact_fallbacks, /*last=*/true);
   out += "}";
   return out;
 }

@@ -129,6 +129,9 @@ class ServiceServer {
     // Long-term series whose STL the screen skipped (the pipeline's
     // pipeline.stage.long_term.screened counter; DESIGN §13).
     uint64_t long_term_screened = 0;
+    // Seasonality estimates the certified ACF left to the reference
+    // transform (stats.acf.exact_fallbacks; DESIGN §13).
+    uint64_t acf_exact_fallbacks = 0;
     uint64_t shed() const { return shed_admission + shed_backpressure + shed_drain; }
   };
   Stats stats() const;
@@ -264,6 +267,7 @@ class ServiceServer {
   Counter* tm_queue_points_ = nullptr;
   Histogram* tm_ingest_latency_ns_ = nullptr;
   const Counter* tm_long_term_screened_ = nullptr;  // Owned by the pipeline.
+  const Counter* tm_acf_exact_fallbacks_ = nullptr;  // Owned by the pipeline.
 };
 
 }  // namespace fbdetect

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
+#include "src/common/arena.h"
+#include "src/common/rounding.h"
 #include "src/common/simd.h"
 #include "src/stats/descriptive.h"
 #include "src/stats/fourier.h"
@@ -14,6 +17,111 @@ namespace {
 // Below this size the direct ACF beats the FFT's constant factor (complex
 // buffers, two transforms over >= 2n padded points).
 constexpr size_t kFftAcfMinSize = 64;
+
+// The certified ACF's margin is this multiple of the derived bound (DESIGN
+// §13). The bound keeps every term; the factor covers its own floating-point
+// evaluation and the rounding of each |a - b| it is compared with.
+constexpr double kAcfSafety = 2.0;
+
+// Bound on |computed - exact| for every ACF value sums[lag] / sums[0] when
+// every sum is within beta * S of the exact one (S = the exact sums[0] >=
+// |exact sums[lag]|): 2 beta / (1 - beta) from the two sums, plus the
+// division's rounding.
+double AcfError(double beta) {
+  const double ratio = 2.0 * beta / (1.0 - beta);
+  return ratio + kUnitRoundoff * (1.0 + ratio);
+}
+
+// DetectSeasonality's peak search over acf[lag - 1], lag in [min_period,
+// cap], with the reference's comparisons in the reference's order. With
+// `margin` > 0 the values are the fast path's, each within `margin` of the
+// reference's: every comparison taken must then be separated by more than
+// its width (2 * margin between two ACF values, margin against an exact
+// constant), so the reference takes the same one; otherwise, or on an exact
+// tie, the search gives up and returns nullopt.
+std::optional<SeasonalityEstimate> FindPeak(std::span<const double> acf, size_t min_period,
+                                            size_t cap, double threshold, double margin) {
+  const auto in_doubt = [margin](double a, double b, double width) {
+    return margin > 0.0 && !(std::fabs(a - b) > width);
+  };
+  double best = 0.0;
+  size_t best_lag = 0;
+  for (size_t lag = min_period; lag <= cap; ++lag) {
+    const double r = acf[lag - 1];
+    // Require a local peak so harmonics of short-lag noise do not win.
+    // (min_period >= 2, so lag - 2 is in range.)
+    const double prev = acf[lag - 2];
+    if (in_doubt(r, prev, 2.0 * margin)) {
+      return std::nullopt;
+    }
+    if (!(r >= prev)) {
+      continue;
+    }
+    if (lag < cap) {
+      const double next = acf[lag];
+      if (in_doubt(r, next, 2.0 * margin)) {
+        return std::nullopt;
+      }
+      if (!(r >= next)) {
+        continue;
+      }
+    }
+    if (in_doubt(r, best, best_lag == 0 ? margin : 2.0 * margin)) {
+      return std::nullopt;
+    }
+    if (r > best) {
+      best = r;
+      best_lag = lag;
+    }
+  }
+  SeasonalityEstimate estimate;
+  if (best_lag != 0) {
+    if (in_doubt(best, threshold, margin)) {
+      return std::nullopt;
+    }
+    if (best > threshold) {
+      estimate.present = true;
+      estimate.period = best_lag;
+    }
+  }
+  return estimate;
+}
+
+// The certified fast path: the ACF from AutocovarianceSumsRealFft, and the
+// peak search over it when every decision clears both transforms' bounds.
+std::optional<SeasonalityEstimate> CertifiedSeasonality(std::span<const double> values,
+                                                        size_t min_period, size_t cap,
+                                                        double threshold) {
+  const size_t n = values.size();
+  const double fast_beta = AutocovarianceSumsRealFftErrorBound(n, cap);
+  const double exact_beta = AutocovarianceSumsFftErrorBound(n);
+  // Both sums[0] are then within a factor 1 -+ 2^-20 of S > 0 (the scale
+  // gate makes S >= 2^-600), so the reference's sums[0] > 0 holds too.
+  if (!(fast_beta + exact_beta < 0x1p-20)) {
+    return std::nullopt;
+  }
+  ArenaScope scope(Arena::ThreadLocal());
+  const std::span<double> sums = scope.MakeSpan<double>(cap + 1);
+  if (!AutocovarianceSumsRealFft(values, cap, sums)) {
+    return std::nullopt;
+  }
+  if (sums[0] == 0.0) {
+    // Only a series whose centered values are all exactly zero has sums[0]
+    // == 0 here (otherwise it is within 2^-20 of S > 0). Its reference sums
+    // are exact zeros too, the reference's sums[0] > 0 fails, and its
+    // all-zero ACF has no peak.
+    return SeasonalityEstimate{};
+  }
+  if (!(sums[0] > 0.0)) {
+    return std::nullopt;
+  }
+  const std::span<double> acf = scope.MakeSpan<double>(cap);
+  for (size_t lag = 1; lag <= cap; ++lag) {
+    acf[lag - 1] = sums[lag] / sums[0];
+  }
+  const double margin = kAcfSafety * (AcfError(fast_beta) + AcfError(exact_beta));
+  return FindPeak(acf, min_period, cap, threshold, margin);
+}
 
 }  // namespace
 
@@ -122,36 +230,33 @@ std::vector<double> AutocorrelationFunction(std::span<const double> values, size
 }
 
 SeasonalityEstimate DetectSeasonality(std::span<const double> values, size_t min_period,
-                                      size_t max_period, double min_correlation) {
-  SeasonalityEstimate estimate;
+                                      size_t max_period, double min_correlation,
+                                      bool* exact_fallback) {
+  if (exact_fallback != nullptr) {
+    *exact_fallback = false;
+  }
   const size_t n = values.size();
   if (n < 8 || min_period < 2) {
-    return estimate;
+    return SeasonalityEstimate{};
   }
   const size_t cap = std::min(max_period, n / 2);
   if (cap < min_period) {
-    return estimate;
+    return SeasonalityEstimate{};
   }
-  const std::vector<double> acf = AutocorrelationFunction(values, cap);
   // White-noise band: |r| > 2/sqrt(n) is significant at ~95%.
   const double noise_band = 2.0 / std::sqrt(static_cast<double>(n));
-  double best = 0.0;
-  size_t best_lag = 0;
-  for (size_t lag = min_period; lag <= cap; ++lag) {
-    const double r = acf[lag - 1];
-    // Require a local peak so harmonics of short-lag noise do not win.
-    const double prev = lag >= 2 ? acf[lag - 2] : r;
-    const double next = lag < cap ? acf[lag] : r;
-    if (r >= prev && r >= next && r > best) {
-      best = r;
-      best_lag = lag;
+  const double threshold = std::max(min_correlation, noise_band);
+  if (n >= kFftAcfMinSize) {
+    if (const std::optional<SeasonalityEstimate> certified =
+            CertifiedSeasonality(values, min_period, cap, threshold)) {
+      return *certified;
+    }
+    if (exact_fallback != nullptr) {
+      *exact_fallback = true;
     }
   }
-  if (best_lag != 0 && best > std::max(min_correlation, noise_band)) {
-    estimate.present = true;
-    estimate.period = best_lag;
-  }
-  return estimate;
+  return *FindPeak(AutocorrelationFunction(values, cap), min_period, cap, threshold,
+                   /*margin=*/0.0);
 }
 
 }  // namespace fbdetect

@@ -2,11 +2,14 @@
 // correlation, §5.5.2/§5.6) and the autocorrelation function used by the
 // seasonality detector (§5.2.3) to decide whether STL should run at all.
 //
-// The full ACF is the seasonality detector's dominant cost (it scans lags up
-// to n/2 on every candidate), so AutocorrelationFunction computes it in
-// O(n log n) via the Wiener–Khinchin theorem once the series is large enough
-// to justify the FFT; the direct O(n * max_lag) implementation is kept as
-// the reference and cross-checked in tests.
+// The full ACF is the seasonality detector's dominant cost (the pipeline
+// scans lags up to n/3 on every long-term candidate), so
+// AutocorrelationFunction computes it in O(n log n) via the Wiener–Khinchin
+// theorem once the series is large enough to justify the FFT; the direct
+// O(n * max_lag) implementation is kept as the reference and cross-checked
+// in tests. DetectSeasonality first tries a quarter-size real-input
+// transform whose error is bounded, and runs AutocorrelationFunction only
+// when that bound cannot decide its answer.
 #ifndef FBDETECT_SRC_STATS_CORRELATION_H_
 #define FBDETECT_SRC_STATS_CORRELATION_H_
 
@@ -38,11 +41,20 @@ struct SeasonalityEstimate {
   size_t period = 0;  // Lag of the strongest significant ACF peak.
 };
 
-// Scans the ACF for the strongest local peak whose correlation exceeds both
-// `min_correlation` and the ~2/sqrt(n) white-noise significance band.
-// `min_period` skips trivially short lags.
+// Scans the ACF over lags [min_period, min(max_period, n/2)] for the
+// strongest local peak whose correlation exceeds both `min_correlation` and
+// the ~2/sqrt(n) white-noise significance band. `min_period` skips
+// trivially short lags.
+//
+// The answer is always the one AutocorrelationFunction's values give. For
+// n >= 64 it first comes from AutocovarianceSumsRealFft: taken only when
+// every comparison it depends on is separated by more than both
+// transforms' error bounds (DESIGN §13, "Certified ACF"). Otherwise — a
+// comparison within the bound, an exact tie, a non-finite value — the
+// reference ACF runs and `*exact_fallback` (when given) is set.
 SeasonalityEstimate DetectSeasonality(std::span<const double> values, size_t min_period,
-                                      size_t max_period, double min_correlation);
+                                      size_t max_period, double min_correlation,
+                                      bool* exact_fallback = nullptr);
 
 }  // namespace fbdetect
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/check.h"
+#include "src/common/rounding.h"
 #include "src/common/simd.h"
 #include "src/stats/descriptive.h"
 
@@ -37,6 +39,7 @@ constexpr size_t kMaxCachedFftSize = 4096;
 struct FftScratch {
   std::vector<double> re;
   std::vector<double> im;
+  std::vector<double> spectrum;  // The real-input path's power spectrum.
   std::vector<double> tw_re[2];  // [inverse]
   std::vector<double> tw_im[2];
 };
@@ -140,6 +143,58 @@ bool SplitButterflies(FftScratch& scratch, size_t n, bool inverse) {
   }
   return true;
 }
+
+// The bounds below follow DESIGN §13 ("Certified ACF"). Every one is a
+// relative bound on the autocovariance sums, in units of S = sum x_i^2 over
+// the centered series x, valid while nothing overflows or underflows beyond
+// what kUnderflowSlack covers (AutocovarianceSumsRealFft's scale gate).
+
+// Gradual underflow adds at most 2^-1075 per product; with max|x| >= 2^-300
+// every such error reaches a sum at far below 2^-400 * S.
+constexpr double kUnderflowSlack = 0x1p-400;
+
+// Twiddles of the stage with half-length `half`, as EnsureTwiddles builds
+// them: each within this bound of exp(+-2 pi i k / (2 half)), k < half.
+// wlen = std::polar(1, angle) is within lambda = 4u: cos and sin are within
+// an ulp (<= u below 1) of the cosine and sine of an angle off by
+// 2 |pi - M_PI| / len <= 1.11u. Twiddle k is wlen^k through k - 1 rounded
+// complex products, each within sqrt(2) gamma_2 of the exact product, so
+// it errs by at most (1 + lambda)^k ((1 + sqrt(2) gamma_2)^k - 1) +
+// k lambda (1 + lambda)^(k-1): the error grows with the stage length.
+double TwiddleError(size_t half) {
+  const double lambda = 4.0 * kUnitRoundoff;
+  const double product = std::sqrt(2.0) * RoundingGamma(2);
+  const double k = static_cast<double>(half - 1);
+  const double h = static_cast<double>(half);
+  if (h * (lambda + product) >= 0.5) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return (k * product / (1.0 - k * product) + k * lambda) / (1.0 - h * lambda);
+}
+
+// Relative error of an n-point transform through SplitButterflies. One
+// stage maps (even, odd) to even +- w * odd; computed with twiddle error mu,
+// each output is within eta * (|even| + |odd|) of the exact stage applied to
+// the computed input, eta = u + (1 + u)(mu + sqrt(2) gamma_2 (1 + mu)). In
+// the 2-norm a stage has norm sqrt(2) and rounds by sqrt(2) eta; as a map
+// from the 1-norm of a block's inputs to each of its outputs it has norm 1
+// and rounds by eta. Either way the stages compose to
+// rho = prod (1 + eta) - 1: ||computed - exact||_2 <= rho ||exact||_2, and
+// every output is within rho * ||input||_1 of the exact one.
+double TransformError(size_t n) {
+  RoundingBound bound{1.0, 0.0};
+  for (size_t half = 1; half < n; half <<= 1) {
+    const double mu = TwiddleError(half);
+    const double eta = kUnitRoundoff + (1.0 + kUnitRoundoff) *
+                                           (mu + std::sqrt(2.0) * RoundingGamma(2) * (1.0 + mu));
+    bound = Through(bound, 1.0, eta);
+  }
+  return bound.error;
+}
+
+// The real-input path's transform length: the linear sums up to lag
+// `limit` need no more than n + limit + 1 points.
+size_t RealFftSize(size_t n, size_t limit) { return NextPowerOfTwo(n + limit + 1); }
 
 }  // namespace
 
@@ -264,6 +319,133 @@ std::vector<double> AutocovarianceSumsFft(std::span<const double> values, size_t
     sums[lag] = re[lag] * scale;
   }
   return sums;
+}
+
+bool AutocovarianceSumsRealFft(std::span<const double> values, size_t max_lag,
+                               std::span<double> sums) {
+  const size_t n = values.size();
+  if (n < 2) {
+    return false;
+  }
+  const size_t limit = std::min(max_lag, n - 1);
+  FBD_CHECK(sums.size() == limit + 1);
+  const double mean = Mean(values);
+  // x packs into z_m = x_{2m} + i x_{2m+1}, an m-point complex transform Z
+  // (m = size / 2). Then, with W = exp(-2 pi i / size),
+  //   V_k = 2 X_k = (Z_k + conj Z_{m-k}) - i W^k (Z_k - conj Z_{m-k}),
+  // for k = 0..m, q_k = |V_k|^2 = 4 |X_k|^2, and the inverse packs the even
+  // spectrum back into m points: Y_k = (q_k + q_{m-k}) + i W^-k (q_k - q_{m-k})
+  // transforms to 4 size (r_{2j} + i r_{2j+1}).
+  const size_t size = RealFftSize(n, limit);
+  const size_t half = size / 2;
+  FftScratch oversized;
+  FftScratch& scratch = ScratchFor(size, oversized);
+  std::vector<double>& re = scratch.re;
+  std::vector<double>& im = scratch.im;
+  std::vector<double>& q = scratch.spectrum;
+  re.resize(half);
+  im.resize(half);
+  q.resize(half + 1);
+  double largest = 0.0;
+  ForEachBitReversed(half, [&](size_t i, size_t j) {
+    re[i] = 2 * j < n ? values[2 * j] - mean : 0.0;
+    im[i] = 2 * j + 1 < n ? values[2 * j + 1] - mean : 0.0;
+    largest = std::max(largest, std::max(std::fabs(re[i]), std::fabs(im[i])));
+  });
+  if (largest == 0.0 && std::isfinite(mean)) {
+    // Every centered value is zero: so is every sum, in any transform.
+    std::fill(sums.begin(), sums.end(), 0.0);
+    return true;
+  }
+  // Non-finite data, or a scale where the rounding model needs more than
+  // kUnderflowSlack: no bound, so no fast answer. (A NaN never raises
+  // `largest`, but it makes the mean NaN.)
+  if (!std::isfinite(mean) || !(largest >= 0x1p-300 && largest <= 0x1p300)) {
+    return false;
+  }
+  EnsureTwiddles(scratch, size, /*inverse=*/false);
+  EnsureTwiddles(scratch, size, /*inverse=*/true);
+  if (!SplitButterflies(scratch, half, /*inverse=*/false)) {
+    return false;
+  }
+  // Stage `half` of the size-point tables holds W^k and W^-k for k < half.
+  const double* w_re = scratch.tw_re[0].data() + half - 1;
+  const double* w_im = scratch.tw_im[0].data() + half - 1;
+  const double* w_inv_re = scratch.tw_re[1].data() + half - 1;
+  const double* w_inv_im = scratch.tw_im[1].data() + half - 1;
+  const double v_first = 2.0 * (re[0] + im[0]);
+  const double v_last = 2.0 * (re[0] - im[0]);
+  q[0] = v_first * v_first;
+  q[half] = v_last * v_last;
+  for (size_t k = 1; k < half; ++k) {
+    const size_t mirror = half - k;
+    const double s_re = re[k] + re[mirror];
+    const double s_im = im[k] - im[mirror];
+    const double g_re = re[k] - re[mirror];
+    const double g_im = im[k] + im[mirror];
+    const double t_re = g_re * w_re[k] - g_im * w_im[k];
+    const double t_im = g_re * w_im[k] + g_im * w_re[k];
+    const double v_re = s_re + t_im;
+    const double v_im = s_im - t_re;
+    q[k] = v_re * v_re + v_im * v_im;
+  }
+  ForEachBitReversed(half, [&](size_t i, size_t j) {
+    const double even = q[j] + q[half - j];
+    const double odd = q[j] - q[half - j];
+    re[i] = even - odd * w_inv_im[j];
+    im[i] = odd * w_inv_re[j];
+  });
+  if (!SplitButterflies(scratch, half, /*inverse=*/true)) {
+    return false;
+  }
+  const double scale = 1.0 / (4.0 * static_cast<double>(size));
+  for (size_t lag = 0; lag <= limit; ++lag) {
+    sums[lag] = (lag % 2 == 0 ? re[lag / 2] : im[lag / 2]) * scale;
+  }
+  return true;
+}
+
+double AutocovarianceSumsFftErrorBound(size_t n) {
+  // Forward: ||X^ - X||_2 <= rho ||X||_2 with ||X||_2^2 = P S (P points).
+  // Power spectrum: |fl(|X^_k|^2) - |X_k|^2| <= gamma_2 |X^_k|^2 +
+  // |e_k| (2 |X_k| + |e_k|), summing to at most P S * spectrum. Inverse:
+  // every output within ||p^ - p||_1 + rho ||p^||_1 of the exact, and the
+  // exact spectrum's 1-norm is P S; the 1/P scale is exact.
+  const double rho = TransformError(NextPowerOfTwo(2 * n));
+  const double spectrum = RoundingGamma(2) * (1.0 + rho) * (1.0 + rho) + 2.0 * rho + rho * rho;
+  return spectrum + rho * (1.0 + spectrum) + kUnderflowSlack;
+}
+
+double AutocovarianceSumsRealFftErrorBound(size_t n, size_t max_lag) {
+  const size_t size = RealFftSize(n, std::min(max_lag, n - 1));
+  const size_t half = size / 2;
+  const double u = kUnitRoundoff;
+  const double gamma2 = RoundingGamma(2);
+  const double root2 = std::sqrt(2.0);
+  const double rho = TransformError(half);
+  const double mu = TwiddleError(half);  // W^k and W^-k.
+  // Unpack, per k, in units of a = |Z^_k| + |Z^_{m-k}|: s and g round by
+  // u a; t = W^k g by tau a; V = s - i t by u (|s| + |t|).
+  const double tau = root2 * gamma2 * (1.0 + mu) * (1.0 + u) + mu * (1.0 + u) + u;
+  const double unpack = 3.0 * u + u * u + tau * (1.0 + u);
+  // In units of z = sqrt(m S): ||Z^ - Z||_2 <= rho z reaches V at most 4x,
+  // the unpack's rounding adds 2 sqrt(2) unpack ||Z^||_2, and ||V||_2 <=
+  // 2 sqrt(2) z over k = 0..m. The spectrum's errors then sum to at most
+  // z^2 * spectrum.
+  const double kappa = 4.0 * rho + 2.0 * root2 * unpack * (1.0 + rho);
+  const double v = 2.0 * root2;
+  const double spectrum = gamma2 * (v + kappa) * (v + kappa) + 2.0 * v * kappa + kappa * kappa;
+  // Repack, per k: Y_k errs by at most c_g g_k + c_h h_k, g_k the two
+  // spectrum errors it reads and h_k = q_k + q_{m-k}; sum g_k <= 2 z^2
+  // spectrum, sum h_k = 8 z^2, and ||Y||_1 <= 16 z^2.
+  const double a1 = 1.0 + u;
+  const double c_g = a1 + u * (1.0 + mu) * a1 + (1.0 + mu) * a1 + u * a1 * (1.0 + a1 * (1.0 + mu));
+  const double c_h = u + u * (1.0 + mu) * a1 + (1.0 + mu) * u + mu +
+                     u * a1 * (1.0 + a1 * (1.0 + mu));
+  const double repack = 2.0 * c_g * spectrum + 8.0 * c_h;
+  // Inverse: every output within ||Y^ - Y||_1 + rho ||Y^||_1, scaled by the
+  // exact 1 / (4 size) = 1 / (8 m): z^2 / (8 m) = S / 8.
+  return (repack + rho * (16.0 + repack)) / 8.0 + kUnderflowSlack;
 }
 
 }  // namespace fbdetect

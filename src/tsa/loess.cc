@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
+#include "src/common/rounding.h"
 #include "src/common/simd.h"
 
 namespace fbdetect {
@@ -350,7 +350,7 @@ LoessPlan::Bounds LoessPlan::ComputeBounds() {
   // 2 * span fits: every edge fit of one side and every interior window).
   const size_t depth = 2 * span_ + 16;
   const double gamma = RoundingGamma(depth);
-  const double u = 0x1p-53;
+  const double u = kUnitRoundoff;
   // One row: its rounding bound, and an upper bound on its true absolute
   // sum from the computed coefficients (each within the transposed rounding
   // of the exact one).
@@ -430,11 +430,6 @@ LoessPlan::Bounds LoessPlan::ComputeBounds() {
     add_row(std::max(forward, transposed), coefficient_sum);
   });
   return bounds;
-}
-
-double RoundingGamma(size_t k) {
-  const double ku = static_cast<double>(k) * 0x1p-53;
-  return ku < 1.0 ? ku / (1.0 - ku) : std::numeric_limits<double>::infinity();
 }
 
 void LoessSmoothInto(std::span<const double> values, size_t span,

@@ -98,10 +98,6 @@ class LoessPlan {
   std::span<double> edge_swxy_;
 };
 
-// Higham's gamma_k = k u / (1 - k u) with u = 2^-53: the relative error
-// bound of k rounded operations in sequence. +inf once k u >= 1.
-double RoundingGamma(size_t k);
-
 // Smooths `values` with a loess window of `span` points (clamped to
 // [2, n]). Returns a series of the same length. An empty input returns an
 // empty vector.

@@ -6,6 +6,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
+#include "src/common/rounding.h"
 #include "src/stats/descriptive.h"
 #include "src/tsa/loess.h"
 
@@ -101,27 +102,6 @@ struct StlPlans {
   LoessPlan lowpass;
   LoessPlan cycle[2];
 };
-
-// Norm and error bounds of one intermediate of the trend computation,
-// relative to the input's size: the exact value's norm is at most `norm`
-// and the computed value is within `error` of it.
-struct Bound {
-  double norm = 0.0;
-  double error = 0.0;
-};
-
-// The computed A * x for an operator of norm at most `norm` whose own
-// rounding is at most `rounding` times the norm of its (computed) input.
-Bound Through(const Bound& x, double norm, double rounding) {
-  return {norm * x.norm, norm * x.error + rounding * (x.norm + x.error)};
-}
-
-// The computed x - z (or x + z): one rounding of the result.
-Bound Combine(const Bound& x, const Bound& z) {
-  const double norm = x.norm + z.norm;
-  const double error = x.error + z.error;
-  return {norm, error + 0x1p-53 * (norm + error)};
-}
 
 }  // namespace
 
@@ -276,21 +256,21 @@ StlTrendBounds StlTrendAdjoint(size_t n, size_t period,
   const double average_rounding = RoundingGamma(n + 2) * prefix_ratio;
   const double average_transpose_rounding = RoundingGamma(period + 2);
 
-  const Bound input{1.0, 0.0};
-  Bound trend;
-  Bound adjoint = input;
-  Bound result;
+  const RoundingBound input{1.0, 0.0};
+  RoundingBound trend;
+  RoundingBound adjoint = input;
+  RoundingBound result;
   for (int inner = 0; inner < inner_iterations; ++inner) {
-    const Bound cycle = Through(Combine(input, trend), cycle_norm, cycle_rounding);
-    const Bound lowpass = Through(Through(cycle, 1.0, average_rounding), lowpass_bounds.norm,
-                                  lowpass_bounds.rounding);
+    const RoundingBound cycle = Through(Combine(input, trend), cycle_norm, cycle_rounding);
+    const RoundingBound lowpass = Through(Through(cycle, 1.0, average_rounding),
+                                          lowpass_bounds.norm, lowpass_bounds.rounding);
     trend = Through(Combine(input, Combine(cycle, lowpass)), trend_bounds.norm,
                     trend_bounds.rounding);
 
-    const Bound v = Through(adjoint, trend_bounds.norm, trend_bounds.rounding);
-    const Bound averaged = Through(Through(v, lowpass_bounds.norm, lowpass_bounds.rounding), 1.0,
-                                   average_transpose_rounding);
-    const Bound w = Through(Combine(v, averaged), cycle_norm, cycle_rounding);
+    const RoundingBound v = Through(adjoint, trend_bounds.norm, trend_bounds.rounding);
+    const RoundingBound averaged = Through(
+        Through(v, lowpass_bounds.norm, lowpass_bounds.rounding), 1.0, average_transpose_rounding);
+    const RoundingBound w = Through(Combine(v, averaged), cycle_norm, cycle_rounding);
     result = Combine(result, Combine(v, w));
     adjoint = w;
   }

@@ -25,6 +25,7 @@
 
 #include "src/common/arena.h"
 #include "src/common/random.h"
+#include "src/common/rounding.h"
 #include "src/core/long_term.h"
 #include "src/core/seasonality_stage.h"
 #include "src/core/series_decomposition.h"

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,6 +24,7 @@
 #include "src/report/report.h"
 #include "src/tracing/trace.h"
 #include "src/tsdb/database.h"
+#include "tests/scalar_rerun.h"
 
 namespace fbdetect {
 namespace {
@@ -252,12 +254,20 @@ TEST(ObservabilityPathTest, DeterministicCountersAreByteIdenticalAcrossScanThrea
   // Non-vacuous: the funnel actually produced reports and scanned series.
   EXPECT_FALSE(baseline.reports.empty());
   EXPECT_GT(CounterValue(baseline.pipeline->telemetry(), "pipeline.scan.series_in"), 0u);
+  // The certified ACF's fallback count is part of the deterministic export.
+  const uint64_t fallbacks =
+      CounterValue(baseline.pipeline->telemetry(), kCounterAcfExactFallbacks);
+  EXPECT_NE(expected.find(kCounterAcfExactFallbacks), std::string::npos) << expected;
   for (const int threads : {2, 8}) {
     const ObservedRun repeat = RunObserved(threads, /*with_faults=*/true);
     EXPECT_EQ(RenderTelemetryJson(repeat.pipeline->telemetry(), /*include_runtime=*/false),
               expected)
         << "scan_threads=" << threads;
   }
+  // And the same under the scalar kernels (FBD_DISABLE_SIMD=1).
+  ExpectSameDigestWithScalarKernels(
+      "acf_exact_fallbacks=" + std::to_string(fallbacks) +
+      ";deterministic_export=" + std::to_string(std::hash<std::string>{}(expected)));
 }
 
 TEST(ObservabilityPathTest, AttritionCountersReconcileExactly) {

@@ -200,17 +200,27 @@ TEST(FftAcfTest, ConstantSeriesYieldsZeros) {
 }
 
 TEST(FftAcfTest, SeasonalityDetectionUnchangedByFastPath) {
-  // DetectSeasonality must reach the same (present, period) decision whether
-  // the series is below or above the FFT dispatch size.
-  for (int period : {12, 24, 48}) {
+  // DetectSeasonality must reach the same (present, period) decision below
+  // the FFT dispatch size (48 points: the direct ACF) and above it (480
+  // points: the certified real-input ACF, which decides these clean series
+  // without falling back to the reference transform). Neither size reports
+  // a fallback: below the dispatch size there is no fast path to fall back
+  // from.
+  struct Case {
+    int n;
+    int period;
+  };
+  for (const Case c : {Case{48, 12}, Case{480, 12}, Case{480, 24}, Case{480, 48}}) {
     std::vector<double> values;
-    for (int i = 0; i < 480; ++i) {
-      values.push_back(5.0 + 2.0 * std::sin(2.0 * M_PI * i / period));
+    for (int i = 0; i < c.n; ++i) {
+      values.push_back(5.0 + 2.0 * std::sin(2.0 * M_PI * i / c.period));
     }
+    bool exact_fallback = true;
     const SeasonalityEstimate estimate =
-        DetectSeasonality(values, 4, values.size() / 3, 0.5);
-    EXPECT_TRUE(estimate.present) << "period=" << period;
-    EXPECT_EQ(estimate.period, static_cast<size_t>(period));
+        DetectSeasonality(values, 4, values.size() / 3, 0.5, &exact_fallback);
+    EXPECT_TRUE(estimate.present) << "n=" << c.n << " period=" << c.period;
+    EXPECT_EQ(estimate.period, static_cast<size_t>(c.period)) << "n=" << c.n;
+    EXPECT_FALSE(exact_fallback) << "n=" << c.n << " period=" << c.period;
   }
 }
 

@@ -43,6 +43,7 @@
 #include "src/service/wire.h"
 #include "src/service/workload.h"
 #include "src/tsdb/database.h"
+#include "tests/scalar_rerun.h"
 
 namespace fbdetect {
 namespace {
@@ -917,6 +918,7 @@ TEST(ServiceServerTest, RunOutputByteIdenticalToOfflineAcrossScanThreads) {
       << "the injected regression produced no offline detections";
 
   std::vector<uint64_t> screened;
+  std::vector<uint64_t> fallbacks;
   for (const int scan_threads : {1, 2, 8}) {
     ServiceOptions service;
     service.flush_points = 16 * 1024;
@@ -940,18 +942,29 @@ TEST(ServiceServerTest, RunOutputByteIdenticalToOfflineAcrossScanThreads) {
       live += run_response.body;
     }
     EXPECT_EQ(live, offline) << "scan_threads=" << scan_threads;
-    // /stats reports the long-term screen's deterministic count.
+    // /stats reports the long-term screen's and the certified ACF's
+    // deterministic counts.
     HttpResponse stats_response;
     ASSERT_TRUE(client.Get("/stats", &stats_response).ok());
     screened.push_back(harness.server->stats().long_term_screened);
+    fallbacks.push_back(harness.server->stats().acf_exact_fallbacks);
     EXPECT_NE(stats_response.body.find("\"long_term_screened\":" +
                                        std::to_string(screened.back())),
+              std::string::npos)
+        << stats_response.body;
+    EXPECT_NE(stats_response.body.find("\"acf_exact_fallbacks\":" +
+                                       std::to_string(fallbacks.back())),
               std::string::npos)
         << stats_response.body;
     harness.StopHard();
   }
   EXPECT_EQ(screened[0], screened[1]);
   EXPECT_EQ(screened[0], screened[2]);
+  EXPECT_EQ(fallbacks[0], fallbacks[1]);
+  EXPECT_EQ(fallbacks[0], fallbacks[2]);
+  // And the same under the scalar kernels (FBD_DISABLE_SIMD=1).
+  ExpectSameDigestWithScalarKernels("long_term_screened=" + std::to_string(screened[0]) +
+                                    ";acf_exact_fallbacks=" + std::to_string(fallbacks[0]));
 }
 
 // Same identity under overload: only the ACKED prefix of the stream exists
